@@ -304,7 +304,7 @@ def durable_trajectory(args):
 
     # Abandon a run mid-stream and time the recovery path itself.
     _, d, dur = run_durable(finish=False)
-    dur._wal.close()  # noqa: SLF001 - simulate the process dying here
+    dur._durable._wal.close()  # noqa: SLF001 - simulate the process dying here
     t0 = time.perf_counter()
     _, report = DurableStreamIngestor.recover(d, recovery="strict")
     recover_s = time.perf_counter() - t0

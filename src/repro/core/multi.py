@@ -108,6 +108,14 @@ class MultiStreamDetector:
         """The underlying detector of one stream."""
         return self._detectors[name]
 
+    @property
+    def refine_filter(self) -> bool:
+        """Whether the streams' detectors run the refinement filter."""
+        settings = {det.refine_filter for det in self._detectors.values()}
+        if len(settings) > 1:
+            raise ValueError("streams disagree on refine_filter")
+        return settings.pop()
+
     def total_operations(self) -> int:
         """RAM-model operations summed over all streams."""
         return self.merged_counters().total_operations

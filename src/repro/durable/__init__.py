@@ -15,12 +15,14 @@ ingestion pipeline restartable:
   of every ingestion operation; torn tails are detected per entry and
   handled per ``recovery="strict"|"trim"``.
 * :mod:`repro.durable.snapshot` — atomic JSON snapshots of the full
-  resumable state (detector carry, buffered bins, watermark, ledger).
-* :mod:`repro.durable.ingestor` — :class:`DurableStreamIngestor` /
-  :class:`DurableMultiStreamIngestor`: log-before-apply wrappers whose
-  :meth:`~DurableStreamIngestor.recover` continues detection
+  resumable state (detector carries, buffered bins, watermarks,
+  ledgers).
+* :mod:`repro.durable.ingestor` — one log-before-apply implementation,
+  :class:`DurableMultiStreamIngestor` over a named fleet, whose
+  :meth:`~DurableMultiStreamIngestor.recover` continues detection
   byte-identically (bursts, per-level op counts, ledger) to a run
-  that never crashed.
+  that never crashed.  :class:`DurableStreamIngestor` is a single
+  stream as a fleet of one.
 """
 
 from .fsio import SimulatedCrash, crash_hook, install_crash_hook

@@ -1,23 +1,33 @@
-"""Log-before-apply ingestion wrappers and crash recovery.
+"""Log-before-apply ingestion and crash recovery.
 
-:class:`DurableStreamIngestor` (one stream) and
-:class:`DurableMultiStreamIngestor` (a named fleet) wrap the
-:mod:`repro.ingest` pipeline with the durability contract:
+:class:`DurableMultiStreamIngestor` wraps the :mod:`repro.ingest`
+pipeline of a named fleet with the durability contract:
 
 1. **Log before apply.**  Every mutating call — ``push``,
    ``push_batch``, ``punctuate``, ``correct``, ``finish`` — is
-   appended to the write-ahead log first, then applied.  The applied
-   state is therefore always a deterministic replay of a WAL prefix.
+   validated, appended to the write-ahead log as one entry, and then
+   applied *from that entry* through the same dispatch recovery
+   replays.  The applied state is therefore always a deterministic
+   replay of a WAL prefix, and a call the pipeline refuses up front
+   never reaches the log.
 2. **Snapshot on cadence.**  Every ``snapshot_every`` WAL entries the
-   full resumable state (detector carry, buffered bins, watermark,
-   ledger, burst beliefs) is published atomically, keyed by LSN.
-3. **Recover = snapshot + tail replay.**  :meth:`~DurableStreamIngestor.recover`
-   loads the newest loadable snapshot at or below the surviving WAL
-   prefix, replays the remaining entries through the exact same code
-   path, and resumes logging — bursts, per-level operation counts and
-   the amendment ledger come out byte-identical to a run that never
-   crashed (the testkit's ``crash_recover`` relation sweeps every
-   injected kill point to prove it).
+   full resumable state (detector carries, buffered bins, watermarks,
+   ledgers, burst beliefs) is published atomically, keyed by LSN.
+3. **Recover = snapshot + tail replay.**
+   :meth:`~DurableMultiStreamIngestor.recover` loads the newest
+   loadable snapshot at or below the surviving WAL prefix, replays the
+   remaining entries through the same dispatch, and resumes logging —
+   bursts, per-level operation counts and the amendment ledger come
+   out byte-identical to a run that never crashed (the testkit's
+   ``crash_recover`` relation sweeps every injected kill point to
+   prove it).
+
+:class:`DurableStreamIngestor` is one stream as a fleet of one: a
+one-stream serial fleet named ``"stream"``, with that name bound on
+every call.  It has no journal, snapshot or replay code of its own.
+Directories written before single streams were fleets of one (meta
+kind ``"stream"``: entries without a stream name, snapshots shaped
+``{ingestor, carry, counters}``) are translated as they are read.
 
 Delivery across the crash is at-least-once with a resume offset: the
 :class:`RecoveryReport` says exactly how many entries were durably
@@ -33,18 +43,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.chunked import ChunkedDetector
-from ..core.multi import MultiStreamDetector
 from ..core.events import Burst, BurstSet
+from ..core.multi import MultiStreamDetector
 from ..ingest import (
     AmendmentLedger,
-    LateRecordError,
     MultiStreamIngestor,
     StreamIngestor,
+    validate_records,
 )
 from ..io.spec import DetectorSpec
 from . import fsio
@@ -65,6 +74,9 @@ __all__ = [
 ]
 
 META_FORMAT = "repro.durable.meta.v1"
+
+#: The name a :class:`DurableStreamIngestor`'s one stream goes by.
+STREAM = "stream"
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ def _write_meta(directory: Path, meta: dict[str, Any]) -> None:
     )
 
 
-def _read_meta(directory: Path, expect_kind: str) -> dict[str, Any]:
+def _read_meta(directory: Path) -> dict[str, Any]:
     path = directory / "meta.json"
     if not path.exists():
         raise FileNotFoundError(
@@ -119,292 +131,48 @@ def _read_meta(directory: Path, expect_kind: str) -> dict[str, Any]:
         raise CorruptWalError(
             f"unrecognized meta format {meta.get('format')!r} in {path}"
         )
-    if meta.get("kind") != expect_kind:
+    if meta.get("kind") == "stream":
+        meta["names"] = [STREAM]
+    elif meta.get("kind") != "multi":
         raise CorruptWalError(
             f"durable run in {directory} is kind={meta.get('kind')!r}, "
-            f"expected {expect_kind!r}"
+            "expected 'multi'"
         )
     return meta
 
 
-class DurableStreamIngestor:
-    """One stream's ingestion pipeline with a write-ahead log underneath.
+def _named_entry(entry: Mapping[str, Any]) -> Mapping[str, Any]:
+    """A kind-``"stream"`` entry with the stream name it was logged without.
 
-    Mirrors the :class:`~repro.ingest.ingestor.StreamIngestor` feeding
-    surface; construction starts a *new* durable run in ``durable_dir``
-    (which must not already hold one — resume an existing run with
-    :meth:`recover`).
+    Entries logged after such a directory was first recovered already
+    carry the name; so do the snapshots :func:`_fleet_state` passes on.
     """
+    if entry["op"] in ("push", "batch", "correct") and "s" not in entry:
+        return {**entry, "s": STREAM}
+    return entry
 
-    def __init__(
-        self,
-        spec: DetectorSpec,
-        durable_dir: str | Path,
-        *,
-        max_lateness: int = 0,
-        late_policy: str = "raise",
-        snapshot_every: int = 256,
-        segment_entries: int = 256,
-        refine_filter: bool = True,
-        backend: str = "auto",
-    ) -> None:
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        directory = Path(durable_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        if (directory / "meta.json").exists():
-            raise FileExistsError(
-                f"{directory} already holds a durable run; use "
-                "DurableStreamIngestor.recover() to resume it"
-            )
-        meta = {
-            "format": META_FORMAT,
-            "kind": "stream",
-            "spec": spec.to_dict(),
-            "max_lateness": int(max_lateness),
-            "late_policy": late_policy,
-            "snapshot_every": int(snapshot_every),
-            "segment_entries": int(segment_entries),
-            "refine_filter": bool(refine_filter),
-        }
-        self._init_parts(
-            spec,
-            directory,
-            meta,
-            WriteAheadLog(directory, segment_entries=segment_entries),
-            backend,
-        )
-        _write_meta(directory, meta)
 
-    def _init_parts(
-        self,
-        spec: DetectorSpec,
-        directory: Path,
-        meta: dict[str, Any],
-        wal: WriteAheadLog,
-        backend: str,
-    ) -> None:
-        self.spec = spec
-        self.durable_dir = directory
-        self._meta = meta
-        self._wal = wal
-        self.snapshot_every = int(meta["snapshot_every"])
-        self._last_snapshot_lsn = 0
-        self._detector = ChunkedDetector(
-            spec.structure,
-            spec.thresholds,
-            spec.aggregate,
-            refine_filter=bool(meta["refine_filter"]),
-            backend=backend,
-        )
-        self._ingestor = StreamIngestor(
-            self._detector,
-            spec.thresholds,
-            spec.aggregate,
-            max_lateness=int(meta["max_lateness"]),
-            late_policy=str(meta["late_policy"]),
-        )
+def _fleet_state(state: Mapping[str, Any]) -> Mapping[str, Any]:
+    """A kind-``"stream"`` snapshot reshaped as a fleet-of-one snapshot."""
+    if "ingestor" not in state:
+        return state
+    ingestor = state["ingestor"]
+    return {
+        "multi": {
+            "streams": {STREAM: ingestor},
+            "finished": ingestor["finished"],
+        },
+        "carries": {STREAM: state["carry"]},
+        "counters": {STREAM: state["counters"]},
+    }
 
-    # -- the mirrored feeding surface ----------------------------------
-    def push(self, timestamp: int, value: float) -> list[Burst]:
-        self._wal.append("push", {"t": int(timestamp), "v": float(value)})
-        try:
-            return self._ingestor.push(int(timestamp), float(value))
-        finally:
-            self._maybe_snapshot()
 
-    def push_batch(
-        self, timestamps: np.ndarray, values: np.ndarray
-    ) -> list[Burst]:
-        ts = np.asarray(timestamps).tolist()
-        vals = np.asarray(values, dtype=np.float64).tolist()
-        self._wal.append("batch", {"t": ts, "v": vals})
-        try:
-            return self._ingestor.push_batch(timestamps, values)
-        finally:
-            self._maybe_snapshot()
-
-    def punctuate(self, watermark: int) -> list[Burst]:
-        self._wal.append("punctuate", {"w": int(watermark)})
-        try:
-            return self._ingestor.punctuate(int(watermark))
-        finally:
-            self._maybe_snapshot()
-
-    def correct(self, timestamp: int, value: float) -> None:
-        self._wal.append(
-            "correct", {"t": int(timestamp), "v": float(value)}
-        )
-        try:
-            self._ingestor.correct(int(timestamp), float(value))
-        finally:
-            self._maybe_snapshot()
-
-    def finish(self) -> list[Burst]:
-        """Log, flush the pipeline, snapshot the final state, seal."""
-        self._wal.append("finish", {})
-        bursts = self._ingestor.finish()
-        self.snapshot_now()
-        self._wal.close()
-        return bursts
-
-    # -- state access --------------------------------------------------
-    @property
-    def watermark(self) -> int:
-        return self._ingestor.watermark
-
-    @property
-    def ledger(self) -> AmendmentLedger:
-        return self._ingestor.ledger
-
-    @property
-    def finished(self) -> bool:
-        return self._ingestor._finished  # noqa: SLF001 - same package family
-
-    @property
-    def counters(self):
-        """The detector's per-level operation counters."""
-        return self._detector.counters
-
-    @property
-    def detector(self) -> ChunkedDetector:
-        return self._detector
-
-    @property
-    def next_lsn(self) -> int:
-        return self._wal.next_lsn
-
-    def final_bursts(self) -> BurstSet:
-        return self._ingestor.final_bursts()
-
-    def sealed_series(self) -> np.ndarray:
-        return self._ingestor.sealed_series()
-
-    # -- snapshots -----------------------------------------------------
-    def _maybe_snapshot(self) -> None:
-        if (
-            self._wal.next_lsn - self._last_snapshot_lsn
-            >= self.snapshot_every
-        ):
-            self.snapshot_now()
-
-    def snapshot_now(self) -> Path:
-        """Publish the current state, keyed by the current LSN."""
-        finished = self._ingestor._finished  # noqa: SLF001
-        state = {
-            "ingestor": self._ingestor.state_dict(),
-            "carry": None if finished else carry_to_dict(
-                self._detector.carry()
-            ),
-            "counters": counters_to_dict(self._detector.counters),
-        }
-        lsn = self._wal.next_lsn
-        path = write_snapshot(self.durable_dir, lsn, state)
-        self._last_snapshot_lsn = lsn
-        return path
-
-    # -- replay / recovery ---------------------------------------------
-    def _restore_snapshot(self, state: Mapping[str, Any]) -> None:
-        carry = state["carry"]
-        if carry is not None:
-            restored = ChunkedDetector.from_carry(
-                self.spec.structure,
-                self.spec.thresholds,
-                carry_from_dict(carry),
-                bool(self._meta["refine_filter"]),
-                self._detector.backend,
-            )
-        else:
-            # Finished before the snapshot: the engine is closed and
-            # only the final counters matter (correct() never touches
-            # the sink after finish).
-            restored = self._detector
-            restored.counters = counters_from_dict(state["counters"])
-        self._detector = restored
-        self._ingestor = StreamIngestor(
-            self._detector,
-            self.spec.thresholds,
-            self.spec.aggregate,
-            max_lateness=int(self._meta["max_lateness"]),
-            late_policy=str(self._meta["late_policy"]),
-        )
-        self._ingestor.restore_state(state["ingestor"])
-
-    def _apply(self, entry: Mapping[str, Any]) -> None:
-        op = entry["op"]
-        try:
-            if op == "push":
-                self._ingestor.push(int(entry["t"]), float(entry["v"]))
-            elif op == "batch":
-                self._ingestor.push_batch(
-                    np.asarray(entry["t"], dtype=np.int64),
-                    np.asarray(entry["v"], dtype=np.float64),
-                )
-            elif op == "punctuate":
-                self._ingestor.punctuate(int(entry["w"]))
-            elif op == "correct":
-                self._ingestor.correct(int(entry["t"]), float(entry["v"]))
-            elif op == "finish":
-                self._ingestor.finish()
-            else:
-                raise CorruptWalError(f"unknown WAL op {op!r}")
-        except LateRecordError:
-            # The live run logged the op, applied its (deterministic)
-            # pre-raise mutations, and raised to the caller.  Replay
-            # reproduces the mutations and moves on.
-            pass
-
-    @classmethod
-    def recover(
-        cls,
-        durable_dir: str | Path,
-        *,
-        recovery: str = "strict",
-        backend: str = "auto",
-    ) -> tuple["DurableStreamIngestor", RecoveryReport]:
-        """Resume the durable run in ``durable_dir``.
-
-        Raises :class:`~repro.durable.wal.CorruptWalError` for damage
-        the ``recovery`` policy refuses to repair.
-        """
-        directory = Path(durable_dir)
-        meta = _read_meta(directory, "stream")
-        spec = DetectorSpec.from_dict(meta["spec"])
-        scan = scan_wal(directory, recovery)
-        self = cls.__new__(cls)
-        self._init_parts(
-            spec,
-            directory,
-            meta,
-            WriteAheadLog(
-                directory,
-                segment_entries=int(meta["segment_entries"]),
-                start_lsn=scan.next_lsn,
-                start_segment=scan.next_segment,
-            ),
-            backend,
-        )
-        snap = load_latest_snapshot(directory, max_lsn=scan.next_lsn)
-        snapshot_lsn = 0
-        if snap is not None:
-            snapshot_lsn, state = snap
-            self._restore_snapshot(state)
-        replayed = scan.entries[snapshot_lsn:]
-        for entry in replayed:
-            self._apply(entry)
-        self._last_snapshot_lsn = snapshot_lsn
-        self._maybe_snapshot()
-        report = RecoveryReport(
-            snapshot_lsn=snapshot_lsn,
-            replayed_entries=len(replayed),
-            replayed_records=sum(entry_records(e) for e in replayed),
-            trimmed_entries=scan.trimmed_entries,
-            trimmed_records=scan.trimmed_records,
-            ops_applied=scan.next_lsn,
-            records_applied=sum(entry_records(e) for e in scan.entries),
-            finished=self.finished,
-        )
-        return self, report
+def _records(
+    timestamps: Any, values: Any, where: str
+) -> tuple[list[int], list[float]]:
+    """Validated records as the JSON lists a WAL entry holds."""
+    ts, vals = validate_records(timestamps, values, where=where)
+    return ts.tolist(), vals.tolist()
 
 
 class DurableMultiStreamIngestor:
@@ -412,11 +180,15 @@ class DurableMultiStreamIngestor:
 
     ``fleet`` is any multi-stream sink the plain
     :class:`~repro.ingest.ingestor.MultiStreamIngestor` accepts that
-    additionally exposes ``checkpoints()`` (the serial
+    additionally exposes ``checkpoints()``, ``stream_counters()`` and
+    ``refine_filter`` (the serial
     :class:`~repro.core.multi.MultiStreamDetector` and the parallel
     runtime both do).  Snapshots are taken between operations — for
     the parallel runtime that is a round boundary, where worker
     carries are current and consistent with any pending coarsen swap.
+    Construction starts a *new* durable run in ``durable_dir`` (which
+    must not already hold one — resume an existing run with
+    :meth:`recover`).
     """
 
     def __init__(
@@ -429,7 +201,6 @@ class DurableMultiStreamIngestor:
         late_policy: str = "raise",
         snapshot_every: int = 256,
         segment_entries: int = 256,
-        refine_filter: bool = True,
     ) -> None:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
@@ -438,7 +209,7 @@ class DurableMultiStreamIngestor:
         if (directory / "meta.json").exists():
             raise FileExistsError(
                 f"{directory} already holds a durable run; use "
-                "DurableMultiStreamIngestor.recover() to resume it"
+                "recover() to resume it"
             )
         meta = {
             "format": META_FORMAT,
@@ -449,9 +220,8 @@ class DurableMultiStreamIngestor:
             "late_policy": late_policy,
             "snapshot_every": int(snapshot_every),
             "segment_entries": int(segment_entries),
-            # Recorded so recovery rebuilds an equivalent fleet; must
-            # match the fleet actually passed in.
-            "refine_filter": bool(refine_filter),
+            # The fleet's own setting, so recovery rebuilds its twin.
+            "refine_filter": bool(fleet.refine_filter),
         }
         self._init_parts(
             fleet,
@@ -470,9 +240,7 @@ class DurableMultiStreamIngestor:
         meta: dict[str, Any],
         wal: WriteAheadLog,
     ) -> None:
-        self.spec = spec
         self.durable_dir = directory
-        self._meta = meta
         self._wal = wal
         self.snapshot_every = int(meta["snapshot_every"])
         self._last_snapshot_lsn = 0
@@ -489,52 +257,71 @@ class DurableMultiStreamIngestor:
     def push(
         self, name: str, timestamp: int, value: float
     ) -> list[Burst]:
-        self._wal.append(
-            "push", {"s": name, "t": int(timestamp), "v": float(value)}
-        )
-        try:
-            return self._multi.push(name, int(timestamp), float(value))
-        finally:
-            self._maybe_snapshot()
+        [t], [v] = _records([timestamp], [value], "push")
+        return self._stream_op("push", name, {"t": t, "v": v})
 
     def push_batch(
         self, name: str, timestamps: np.ndarray, values: np.ndarray
     ) -> list[Burst]:
-        self._wal.append(
-            "batch",
-            {
-                "s": name,
-                "t": np.asarray(timestamps).tolist(),
-                "v": np.asarray(values, dtype=np.float64).tolist(),
-            },
-        )
-        try:
-            return self._multi.push_batch(name, timestamps, values)
-        finally:
-            self._maybe_snapshot()
+        ts, vals = _records(timestamps, values, "push_batch")
+        return self._stream_op("batch", name, {"t": ts, "v": vals})
 
     def punctuate(self, watermark: int) -> dict[str, list[Burst]]:
-        self._wal.append("punctuate", {"w": int(watermark)})
-        try:
-            return self._multi.punctuate(int(watermark))
-        finally:
-            self._maybe_snapshot()
+        return self._logged("punctuate", {"w": int(watermark)})
 
     def correct(self, name: str, timestamp: int, value: float) -> None:
-        self._wal.append(
-            "correct", {"s": name, "t": int(timestamp), "v": float(value)}
-        )
-        try:
-            self._multi.correct(name, int(timestamp), float(value))
-        finally:
-            self._maybe_snapshot()
+        [t], [v] = _records([timestamp], [value], "correct")
+        self._stream_op("correct", name, {"t": t, "v": v})
 
     def finish(self) -> dict[str, list[Burst]]:
-        self._wal.append("finish", {})
-        out = self._multi.finish()
+        """Log, flush the pipeline, snapshot the final state, seal."""
+        self._journal("finish", {})
+        out = self._apply("finish", {})
         self.snapshot_now()
         self._wal.close()
         return out
+
+    # -- journal and apply ---------------------------------------------
+    def _stream_op(
+        self, op: str, name: str, payload: dict[str, Any]
+    ) -> Any:
+        self._multi.ingestor(name)  # KeyError for an unknown stream
+        return self._logged(op, {"s": name, **payload})
+
+    def _logged(self, op: str, payload: dict[str, Any]) -> Any:
+        self._journal(op, payload)
+        try:
+            return self._apply(op, payload)
+        finally:
+            self._maybe_snapshot()
+
+    def _journal(self, op: str, payload: dict[str, Any]) -> None:
+        if self.finished and op != "correct":
+            raise RuntimeError(
+                "ingestor already finished; only correct() may follow"
+            )
+        self._wal.append(op, payload)
+
+    def _apply(self, op: str, entry: Mapping[str, Any]) -> Any:
+        """Apply one journaled entry: the live call and replay both."""
+        multi = self._multi
+        if op == "batch":
+            # No int64 cast: a fractional timestamp an earlier version
+            # logged must be refused on replay as it was live.
+            return multi.push_batch(
+                entry["s"],
+                np.asarray(entry["t"]),
+                np.asarray(entry["v"], dtype=np.float64),
+            )
+        if op == "push":
+            return multi.push(entry["s"], entry["t"], entry["v"])
+        if op == "punctuate":
+            return multi.punctuate(entry["w"])
+        if op == "correct":
+            return multi.correct(entry["s"], entry["t"], entry["v"])
+        if op == "finish":
+            return multi.finish()
+        raise CorruptWalError(f"unknown WAL op {op!r}")
 
     # -- state access --------------------------------------------------
     @property
@@ -568,8 +355,7 @@ class DurableMultiStreamIngestor:
 
     def snapshot_now(self) -> Path:
         """Publish fleet state at the current LSN (a round boundary)."""
-        finished = self._multi._finished  # noqa: SLF001
-        if finished:
+        if self.finished:
             carries: dict[str, Any] = {name: None for name in self.names}
         else:
             carries = {
@@ -589,33 +375,7 @@ class DurableMultiStreamIngestor:
         self._last_snapshot_lsn = lsn
         return path
 
-    # -- replay / recovery ---------------------------------------------
-    def _apply(self, entry: Mapping[str, Any]) -> None:
-        op = entry["op"]
-        try:
-            if op == "push":
-                self._multi.push(
-                    str(entry["s"]), int(entry["t"]), float(entry["v"])
-                )
-            elif op == "batch":
-                self._multi.push_batch(
-                    str(entry["s"]),
-                    np.asarray(entry["t"], dtype=np.int64),
-                    np.asarray(entry["v"], dtype=np.float64),
-                )
-            elif op == "punctuate":
-                self._multi.punctuate(int(entry["w"]))
-            elif op == "correct":
-                self._multi.correct(
-                    str(entry["s"]), int(entry["t"]), float(entry["v"])
-                )
-            elif op == "finish":
-                self._multi.finish()
-            else:
-                raise CorruptWalError(f"unknown WAL op {op!r}")
-        except LateRecordError:
-            pass
-
+    # -- recovery ------------------------------------------------------
     @classmethod
     def recover(
         cls,
@@ -623,47 +383,41 @@ class DurableMultiStreamIngestor:
         *,
         recovery: str = "strict",
         backend: str = "auto",
-        fleet_factory: Callable[[Mapping[str, Any]], Any] | None = None,
     ) -> tuple["DurableMultiStreamIngestor", RecoveryReport]:
-        """Resume a fleet run.
+        """Resume a fleet run on a serial in-process fleet.
 
-        ``fleet_factory`` maps ``{name: DetectorCarry}`` to a rebuilt
-        sink (the CLI passes one that recreates the parallel runtime);
-        the default resumes a serial shared-structure fleet.
+        Raises :class:`~repro.durable.wal.CorruptWalError` for damage
+        the ``recovery`` policy refuses to repair.
         """
         directory = Path(durable_dir)
-        meta = _read_meta(directory, "multi")
+        meta = _read_meta(directory)
         spec = DetectorSpec.from_dict(meta["spec"])
         scan = scan_wal(directory, recovery)
+        entries = scan.entries
         snap = load_latest_snapshot(directory, max_lsn=scan.next_lsn)
+        snapshot_lsn, state = snap if snap is not None else (0, None)
+        if meta["kind"] == "stream":
+            entries = tuple(_named_entry(e) for e in entries)
+            state = None if state is None else _fleet_state(state)
 
         names = [str(n) for n in meta["names"]]
-        snapshot_lsn = 0
-        carries: dict[str, Any] = {}
-        state: Mapping[str, Any] | None = None
-        if snap is not None:
-            snapshot_lsn, state = snap
+        carries = {}
+        if state is not None:
             carries = {
-                name: None if payload is None else carry_from_dict(payload)
+                name: carry_from_dict(payload)
                 for name, payload in state["carries"].items()
+                if payload is not None
             }
-        live_carries = {
-            name: carry
-            for name, carry in carries.items()
-            if carry is not None
-        }
-        if live_carries and len(live_carries) != len(names):
+        if carries and len(carries) != len(names):
             raise CorruptWalError(
                 "snapshot carries cover only part of the fleet"
             )
-        refine = bool(meta.get("refine_filter", True))
-        if fleet_factory is not None:
-            fleet = fleet_factory(live_carries if live_carries else {})
-        elif live_carries:
+        refine = bool(meta["refine_filter"])
+        if carries:
             fleet = MultiStreamDetector.from_carries(
                 spec.structure,
                 spec.thresholds,
-                live_carries,
+                carries,
                 refine_filter=refine,
                 backend=backend,
             )
@@ -676,7 +430,7 @@ class DurableMultiStreamIngestor:
                 refine_filter=refine,
                 backend=backend,
             )
-            if state is not None and isinstance(fleet, MultiStreamDetector):
+            if state is not None:
                 # Finished-run snapshot: the engines are closed, but the
                 # final per-stream counters must survive recovery.
                 for name, payload in state["counters"].items():
@@ -698,9 +452,15 @@ class DurableMultiStreamIngestor:
         )
         if state is not None:
             self._multi.restore_state(state["multi"])
-        replayed = scan.entries[snapshot_lsn:]
+        replayed = entries[snapshot_lsn:]
         for entry in replayed:
-            self._apply(entry)
+            try:
+                self._apply(entry["op"], entry)
+            except ValueError:
+                # A refusal that depends on state (a late record under
+                # "raise", correct() of an unsealed bin): the live call
+                # made the same mutations before raising to its caller.
+                pass
         self._last_snapshot_lsn = snapshot_lsn
         self._maybe_snapshot()
         report = RecoveryReport(
@@ -710,7 +470,124 @@ class DurableMultiStreamIngestor:
             trimmed_entries=scan.trimmed_entries,
             trimmed_records=scan.trimmed_records,
             ops_applied=scan.next_lsn,
-            records_applied=sum(entry_records(e) for e in scan.entries),
+            records_applied=sum(entry_records(e) for e in entries),
             finished=self.finished,
+        )
+        return self, report
+
+
+class DurableStreamIngestor:
+    """One stream's durable ingestion pipeline: a fleet of one.
+
+    Builds a one-stream serial
+    :class:`~repro.core.multi.MultiStreamDetector` named ``"stream"``
+    under a :class:`DurableMultiStreamIngestor` and forwards each call
+    with that name bound, so the journal, snapshots and recovery are
+    the fleet's.  Mirrors the
+    :class:`~repro.ingest.ingestor.StreamIngestor` feeding surface;
+    construction starts a *new* durable run in ``durable_dir`` (resume
+    an existing run with :meth:`recover`).
+    """
+
+    def __init__(
+        self,
+        spec: DetectorSpec,
+        durable_dir: str | Path,
+        *,
+        max_lateness: int = 0,
+        late_policy: str = "raise",
+        snapshot_every: int = 256,
+        segment_entries: int = 256,
+        refine_filter: bool = True,
+        backend: str = "auto",
+    ) -> None:
+        fleet = MultiStreamDetector.shared(
+            [STREAM],
+            spec.structure,
+            spec.thresholds,
+            aggregate=spec.aggregate,
+            refine_filter=refine_filter,
+            backend=backend,
+        )
+        self._durable = DurableMultiStreamIngestor(
+            fleet,
+            spec,
+            durable_dir,
+            max_lateness=max_lateness,
+            late_policy=late_policy,
+            snapshot_every=snapshot_every,
+            segment_entries=segment_entries,
+        )
+
+    def push(self, timestamp: int, value: float) -> list[Burst]:
+        return self._durable.push(STREAM, timestamp, value)
+
+    def push_batch(
+        self, timestamps: np.ndarray, values: np.ndarray
+    ) -> list[Burst]:
+        return self._durable.push_batch(STREAM, timestamps, values)
+
+    def punctuate(self, watermark: int) -> list[Burst]:
+        return self._durable.punctuate(watermark)[STREAM]
+
+    def correct(self, timestamp: int, value: float) -> None:
+        self._durable.correct(STREAM, timestamp, value)
+
+    def finish(self) -> list[Burst]:
+        return self._durable.finish()[STREAM]
+
+    def snapshot_now(self) -> Path:
+        return self._durable.snapshot_now()
+
+    @property
+    def _ingestor(self) -> StreamIngestor:
+        return self._durable.ingestor(STREAM)
+
+    @property
+    def ledger(self) -> AmendmentLedger:
+        return self._ingestor.ledger
+
+    @property
+    def counters(self):
+        """The detector's per-level operation counters."""
+        return self._durable._fleet.stream_counters()[STREAM]  # noqa: SLF001
+
+    @property
+    def finished(self) -> bool:
+        return self._durable.finished
+
+    @property
+    def next_lsn(self) -> int:
+        return self._durable.next_lsn
+
+    @property
+    def durable_dir(self) -> Path:
+        return self._durable.durable_dir
+
+    def final_bursts(self) -> BurstSet:
+        return self._ingestor.final_bursts()
+
+    @classmethod
+    def recover(
+        cls,
+        durable_dir: str | Path,
+        *,
+        recovery: str = "strict",
+        backend: str = "auto",
+    ) -> tuple["DurableStreamIngestor", RecoveryReport]:
+        """Resume the single-stream run in ``durable_dir``.
+
+        Raises :class:`~repro.durable.wal.CorruptWalError` for damage
+        the ``recovery`` policy refuses to repair, and for a fleet run.
+        """
+        names = _read_meta(Path(durable_dir))["names"]
+        if names != [STREAM]:
+            raise CorruptWalError(
+                f"durable run in {durable_dir} is a fleet of {names}; "
+                "resume it with DurableMultiStreamIngestor.recover()"
+            )
+        self = cls.__new__(cls)
+        self._durable, report = DurableMultiStreamIngestor.recover(
+            durable_dir, recovery=recovery, backend=backend
         )
         return self, report

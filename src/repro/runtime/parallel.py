@@ -573,6 +573,14 @@ class ParallelMultiStreamDetector:
         return self._faults
 
     @property
+    def refine_filter(self) -> bool:
+        """Whether the streams' detectors run the refinement filter."""
+        if self._serial is not None:
+            return self._serial.refine_filter
+        # Every pool constructor takes one setting for the whole fleet.
+        return next(iter(self._configs.values())).refine
+
+    @property
     def degraded(self) -> bool:
         """Whether a ``faults="degrade"`` run has folded back to serial."""
         return self._degraded

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.durable.wal import (
     entry_records,
     scan_wal,
 )
-from repro.ingest import AmendmentLedger, StreamIngestor
+from repro.ingest import AmendmentLedger, LateRecordError, StreamIngestor
 from repro.ingest.ledger import BurstAmended, BurstRetracted
 from repro.io.spec import DetectorSpec
 from repro.runtime import (
@@ -286,6 +287,16 @@ class TestSnapshots:
 # Durable single-stream ingestion
 # ---------------------------------------------------------------------------
 
+def _counter_lists(counters) -> tuple:
+    return (
+        counters.updates.tolist(),
+        counters.filter_comparisons.tolist(),
+        counters.alarms.tolist(),
+        counters.search_cells.tolist(),
+        int(counters.bursts),
+    )
+
+
 def _fingerprint(dur) -> tuple:
     """Everything the equivalence contract covers, JSON-stable."""
     return (
@@ -293,24 +304,14 @@ def _fingerprint(dur) -> tuple:
             sorted((b.end, b.size, b.value) for b in dur.final_bursts())
         ),
         json.dumps(dur.ledger.as_dict(), sort_keys=True),
-        dur.counters.updates.tolist(),
-        dur.counters.filter_comparisons.tolist(),
-        dur.counters.alarms.tolist(),
-        dur.counters.search_cells.tolist(),
-        int(dur.counters.bursts),
-    )
+    ) + _counter_lists(dur.counters)
 
 
 def _apply_ops(dur, ops) -> None:
-    for op in ops:
-        if op[0] == "push":
-            dur.push(op[1], op[2])
-        elif op[0] == "punctuate":
-            dur.punctuate(op[1])
-        elif op[0] == "correct":
-            dur.correct(op[1], op[2])
-        else:
-            dur.finish()
+    """Call ``dur.<op>(*args)`` for each ``(op, *args)``; a fleet's
+    stream ops carry the stream name as their first argument."""
+    for op, *args in ops:
+        getattr(dur, op)(*args)
 
 
 def _scripted_ops(rng, n: int) -> list[tuple]:
@@ -359,6 +360,19 @@ class TestDurableStream:
         with pytest.raises(FileNotFoundError, match="no durable run"):
             DurableStreamIngestor.recover(tmp_path)
 
+    def test_recover_refuses_a_fleet_run_untouched(self, spec, tmp_path):
+        fleet = MultiStreamDetector.shared(
+            ["a", "b"], spec.structure, spec.thresholds,
+            aggregate=spec.aggregate,
+        )
+        dur = DurableMultiStreamIngestor(fleet, spec, tmp_path)
+        dur.push("a", 0, 1.0)
+        dur._wal._file.close()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(CorruptWalError, match="fleet"):
+            DurableStreamIngestor.recover(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_snapshot_cadence_and_recovery_from_newest(
         self, spec, rng, tmp_path
     ):
@@ -367,7 +381,7 @@ class TestDurableStream:
         )
         for t, v in enumerate(rng.poisson(6.0, 12).astype(np.float64)):
             dur.push(t, float(v))
-        dur._wal._file.close()
+        dur._durable._wal._file.close()
         lsns = [int(p.stem.split("-")[1]) for p in
                 snapshot_paths(tmp_path / "run")]
         assert lsns == [5, 10]
@@ -396,7 +410,7 @@ class TestDurableStream:
             segment_entries=7,
         )
         _apply_ops(dur, ops[:cut])
-        dur._wal._file.close()  # abandoned, not closed
+        dur._durable._wal._file.close()  # abandoned, not closed
 
         resumed, report = DurableStreamIngestor.recover(tmp_path / "run")
         assert report.ops_applied == cut
@@ -418,68 +432,196 @@ class TestDurableStream:
         assert _fingerprint(resumed) == want
 
     def test_crash_anywhere_sweep(self, spec, rng, tmp_path):
-        """Kill the pipeline at traced IO offsets; recovery must agree.
-
-        ``trim`` must always land byte-identical to the uninterrupted
-        run; ``strict`` must do the same or refuse with
-        :class:`CorruptWalError` — and when it refuses, ``trim`` on the
-        same crash must report genuinely trimmed entries.
-        """
         vals = rng.poisson(6.0, 36).astype(np.float64)
         ops = [("push", t, float(v)) for t, v in enumerate(vals)]
         ops.append(("finish",))
         knobs = dict(max_lateness=2, snapshot_every=6, segment_entries=5)
+        _crash_sweep(
+            tmp_path,
+            lambda directory: DurableStreamIngestor(spec, directory, **knobs),
+            DurableStreamIngestor.recover,
+            ops,
+            _fingerprint,
+        )
 
-        counting = OpCountingHook()
-        ref = DurableStreamIngestor(spec, tmp_path / "ref", **knobs)
-        with crash_hook(counting):
-            _apply_ops(ref, ops)
-        want = _fingerprint(ref)
-        total = counting.count
-        assert total > 40  # the run is IO-dense enough to be worth sweeping
 
-        def crashed_run(directory, kill, tear):
+def _crash_sweep(tmp_path, start, recover, ops, fingerprint) -> None:
+    """Kill the pipeline at traced IO offsets; recovery must agree.
+
+    ``start(directory)`` begins a durable run that ``ops`` feed (see
+    :func:`_apply_ops`, one WAL entry each) and ``recover`` resumes it.
+    ``trim`` must always land byte-identical to the uninterrupted run;
+    ``strict`` must do the same or refuse with :class:`CorruptWalError`
+    — and when it refuses, ``trim`` on the same crash must report
+    genuinely trimmed entries.
+    """
+    counting = OpCountingHook()
+    ref = start(tmp_path / "ref")
+    with crash_hook(counting):
+        _apply_ops(ref, ops)
+    want = fingerprint(ref)
+    total = counting.count
+    assert total > 40  # the run is IO-dense enough to be worth sweeping
+
+    def crashed_run(directory, kill, tear):
+        try:
+            with crash_hook(KillAtHook(kill, tear)):
+                _apply_ops(start(directory), ops)
+        except SimulatedCrash:
+            return True
+        return False
+
+    def recover_and_compare(directory, policy):
+        resumed, report = recover(directory, recovery=policy)
+        if not report.finished:
+            _apply_ops(resumed, ops[report.ops_applied :])
+        assert fingerprint(resumed) == want, (
+            f"{policy} diverged: {report.summary()}"
+        )
+        return report
+
+    strict_raises = 0
+    for kill in range(total):
+        for tear in (None,) if kill % 5 else (None, 0.5):
+            trim_dir = tmp_path / f"t{kill}-{tear}"
+            assert crashed_run(trim_dir, kill, tear)
             try:
-                with crash_hook(KillAtHook(kill, tear)):
-                    dur = DurableStreamIngestor(spec, directory, **knobs)
-                    _apply_ops(dur, ops)
-            except SimulatedCrash:
-                return True
-            return False
+                trim_report = recover_and_compare(trim_dir, "trim")
+            except FileNotFoundError:
+                # Crash before meta.json became durable: the run
+                # never existed; a fresh start is the recovery.
+                assert kill < 8
+                continue
+            strict_dir = tmp_path / f"s{kill}-{tear}"
+            assert crashed_run(strict_dir, kill, tear)
+            try:
+                recover_and_compare(strict_dir, "strict")
+            except CorruptWalError:
+                # strict refused: trim must have repaired real loss.
+                strict_raises += 1
+                assert trim_report.trimmed_entries > 0
+    # The sweep genuinely exercised the torn-tail path.
+    assert strict_raises > 0
 
-        def recover_and_compare(directory, policy):
-            resumed, report = DurableStreamIngestor.recover(
-                directory, recovery=policy
-            )
-            if not report.finished:
-                _apply_ops(resumed, ops[report.ops_applied :])
-            assert _fingerprint(resumed) == want, (
-                f"{policy} diverged: {report.summary()}"
-            )
-            return report
 
-        strict_raises = 0
-        for kill in range(total):
-            for tear in (None,) if kill % 5 else (None, 0.5):
-                trim_dir = tmp_path / f"t{kill}-{tear}"
-                assert crashed_run(trim_dir, kill, tear)
-                try:
-                    trim_report = recover_and_compare(trim_dir, "trim")
-                except FileNotFoundError:
-                    # Crash before meta.json became durable: the run
-                    # never existed; a fresh start is the recovery.
-                    assert kill < 8
-                    continue
-                strict_dir = tmp_path / f"s{kill}-{tear}"
-                assert crashed_run(strict_dir, kill, tear)
-                try:
-                    recover_and_compare(strict_dir, "strict")
-                except CorruptWalError:
-                    # strict refused: trim must have repaired real loss.
-                    strict_raises += 1
-                    assert trim_report.trimmed_entries > 0
-        # The sweep genuinely exercised the torn-tail path.
-        assert strict_raises > 0
+# ---------------------------------------------------------------------------
+# Directories in the single-stream shape (meta kind "stream")
+# ---------------------------------------------------------------------------
+
+#: Written by the single-stream implementation of commit b2cd43a: meta
+#: kind "stream", WAL entries without a stream name, snapshots shaped
+#: {ingestor, carry, counters}.  ``feed.json`` holds the operations fed
+#: and the uninterrupted run's fingerprint.  ``midrun`` was abandoned
+#: after 27 operations (a snapshot at LSN 16 and an ``.open`` segment);
+#: ``finished`` ran to the end.
+STREAM_V1 = Path(__file__).parent / "fixtures" / "durable_stream_v1"
+
+
+@pytest.mark.parametrize("keep_snapshots", [True, False])
+@pytest.mark.parametrize("run", ["midrun", "finished"])
+def test_recovers_stream_shaped_directory(tmp_path, run, keep_snapshots):
+    from repro.testkit.crash import _fingerprint as crash_fingerprint
+
+    feed = json.loads((STREAM_V1 / "feed.json").read_text())
+    directory = tmp_path / run
+    shutil.copytree(STREAM_V1 / run, directory)
+    if not keep_snapshots:
+        # Snapshots only accelerate: the WAL alone must land the same.
+        for path in snapshot_paths(directory):
+            path.unlink()
+    dur, report = DurableStreamIngestor.recover(directory)
+    assert report.trimmed_entries == 0
+    if run == "midrun":
+        assert not report.finished
+        assert report.ops_applied == 27
+        assert report.snapshot_lsn == (16 if keep_snapshots else 0)
+        _apply_ops(dur, feed["ops"][report.ops_applied :])
+    else:
+        assert report.finished
+        assert report.ops_applied == len(feed["ops"])
+    assert crash_fingerprint(dur) == feed["fingerprint"]
+    # The resumed run recovers again from what it wrote itself.
+    again, _ = DurableStreamIngestor.recover(directory)
+    assert crash_fingerprint(again) == feed["fingerprint"]
+
+
+# ---------------------------------------------------------------------------
+# Refused calls
+# ---------------------------------------------------------------------------
+
+#: case -> (two-stream fleet?, the refused call, its error).  Bins 0-19
+#: are fed first (frontier 19), so bins from 19 on are unsealed and bin 5
+#: is late.
+REFUSED_CALLS = {
+    "fractional-push": (False, lambda d: d.push(22.5, 1.0), ValueError),
+    "negative-value": (
+        False, lambda d: d.push_batch([20, 21], [1.0, -1.0]), ValueError
+    ),
+    "nan-value": (
+        False, lambda d: d.push_batch([20, 21], [1.0, np.nan]), ValueError
+    ),
+    "fractional-batch": (
+        False, lambda d: d.push_batch([20.5, 21.0], [1.0, 2.0]), ValueError
+    ),
+    "correct-unsealed": (False, lambda d: d.correct(25, 1.0), ValueError),
+    # Refused after its first record was counted: the mutation stays.
+    "late-record": (
+        False, lambda d: d.push_batch([25, 5], [1.0, 1.0]), LateRecordError
+    ),
+    "unknown-stream": (
+        True, lambda d: d.push_batch("c", [20], [1.0]), KeyError
+    ),
+    "push-after-recovered-finish": (
+        False, lambda d: d.push(40, 1.0), RuntimeError
+    ),
+}
+
+
+def _feed_range(dur, vals, lo: int, hi: int) -> None:
+    ts = np.arange(lo, hi)
+    if isinstance(dur, DurableMultiStreamIngestor):
+        for name in dur.names:
+            dur.push_batch(name, ts, vals[lo:hi])
+    else:
+        dur.push_batch(ts, vals[lo:hi])
+
+
+def _state(dur) -> tuple:
+    if isinstance(dur, DurableMultiStreamIngestor):
+        return _multi_fingerprint(dur)
+    return _fingerprint(dur)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CALLS))
+def test_refused_call_does_not_poison_the_log(spec, rng, tmp_path, case):
+    """Recovery lands on the live run's state after a refused call:
+    nothing it cannot replay was logged, and what was logged replays
+    to the mutations the live call made before raising."""
+    fleet, call, error = REFUSED_CALLS[case]
+    vals = rng.poisson(6.0, 30).astype(np.float64)
+    directory = tmp_path / "run"
+    if fleet:
+        dur = DurableMultiStreamIngestor(
+            MultiStreamDetector.shared(
+                ["a", "b"], spec.structure, spec.thresholds,
+                aggregate=spec.aggregate,
+            ),
+            spec,
+            directory,
+        )
+    else:
+        dur = DurableStreamIngestor(spec, directory)
+    _feed_range(dur, vals, 0, 20)
+    if case == "push-after-recovered-finish":
+        dur.finish()
+        dur, _ = DurableStreamIngestor.recover(directory)
+    with pytest.raises(error):
+        call(dur)
+    if not dur.finished:
+        _feed_range(dur, vals, 20, 30)
+    recovered, report = type(dur).recover(directory)
+    assert report.trimmed_entries == 0
+    assert _state(recovered) == _state(dur)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +655,77 @@ class TestDurableMulti:
             "b": rng.exponential(5.0, 540),
         }
 
-    def _serial_fleet(self, spec, names):
+    def _serial_fleet(self, spec, names, **kwargs):
         return MultiStreamDetector.shared(
             list(names), spec.structure, spec.thresholds,
-            aggregate=spec.aggregate,
+            aggregate=spec.aggregate, **kwargs,
         )
+
+    def test_crash_anywhere_sweep(self, spec, rng, tmp_path):
+        """The single-stream sweep over a two-stream fleet: pushes
+        alternate between streams, so kills land mid-way through
+        per-stream routing and per-stream carries in snapshots."""
+        vals = rng.poisson(6.0, 36).astype(np.float64)
+        ops = [
+            ("push", "ab"[i % 2], i // 2, float(v))
+            for i, v in enumerate(vals)
+        ]
+        ops.append(("finish",))
+
+        def start(directory):
+            return DurableMultiStreamIngestor(
+                self._serial_fleet(spec, "ab"), spec, directory,
+                max_lateness=2, snapshot_every=6, segment_entries=5,
+            )
+
+        def fingerprint(dur):
+            counters = dur._fleet.stream_counters()
+            return _multi_fingerprint(dur) + tuple(
+                _counter_lists(counters[name]) for name in "ab"
+            )
+
+        _crash_sweep(
+            tmp_path, start, DurableMultiStreamIngestor.recover, ops,
+            fingerprint,
+        )
+
+    def test_recover_rebuilds_the_fleets_refine_filter(
+        self, spec, feeds, tmp_path
+    ):
+        batches = [
+            (name, lo + np.arange(vals.size), vals)
+            for lo in range(0, 600, 150)
+            for name in sorted(feeds)
+            if (vals := feeds[name][lo : lo + 150]).size
+        ]
+        ref_fleet = self._serial_fleet(spec, feeds, refine_filter=False)
+        ref = DurableMultiStreamIngestor(
+            ref_fleet, spec, tmp_path / "ref", snapshot_every=3
+        )
+        for batch in batches:
+            ref.push_batch(*batch)
+        ref.finish()
+
+        dur = DurableMultiStreamIngestor(
+            self._serial_fleet(spec, feeds, refine_filter=False),
+            spec,
+            tmp_path / "run",
+            snapshot_every=3,
+        )
+        for batch in batches[:4]:
+            dur.push_batch(*batch)
+        dur._wal._file.close()  # abandoned after a snapshot at LSN 3
+        resumed, report = DurableMultiStreamIngestor.recover(
+            tmp_path / "run"
+        )
+        assert (report.snapshot_lsn, report.ops_applied) == (3, 4)
+        for batch in batches[4:]:
+            resumed.push_batch(*batch)
+        resumed.finish()
+        assert _multi_fingerprint(resumed) == _multi_fingerprint(ref)
+        got = resumed._fleet.stream_counters()
+        for name, counters in ref_fleet.stream_counters().items():
+            assert_counters_equal(got[name], counters)
 
     def test_recover_mid_run_matches_uninterrupted(
         self, spec, feeds, tmp_path

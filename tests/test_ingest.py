@@ -325,8 +325,9 @@ def test_multi_stream_punctuate_broadcasts():
 # -- CLI plumbing ------------------------------------------------------
 
 
-def test_cli_timestamped_detect_matches_plain(tmp_path, capsys):
-    from repro.__main__ import main
+def _cli_feed(tmp_path):
+    """A spec, a 40-point plain stream, and the same points shuffled as
+    a timestamped feed: (spec path, plain csv, feed csv, series, order)."""
     from repro.io import DetectorSpec, save_spec
 
     spec = DetectorSpec(STRUCTURE, THRESHOLDS)
@@ -341,6 +342,13 @@ def test_cli_timestamped_detect_matches_plain(tmp_path, capsys):
     feed.write_text(
         "".join(f"{t},{series[t]}\n" for t in order)
     )
+    return spec_path, plain, feed, series, order
+
+
+def test_cli_timestamped_detect_matches_plain(tmp_path, capsys):
+    from repro.__main__ import main
+
+    spec_path, plain, feed, _, _ = _cli_feed(tmp_path)
     out_plain = tmp_path / "a.csv"
     out_feed = tmp_path / "b.csv"
     assert main(
@@ -353,6 +361,70 @@ def test_cli_timestamped_detect_matches_plain(tmp_path, capsys):
     ) == 0
     assert out_plain.read_text() == out_feed.read_text()
     assert "# ingest: records=40" in capsys.readouterr().err
+
+
+def test_cli_durable_detect_and_recover_match_plain(tmp_path, capsys):
+    """``detect --durable-dir`` and both ``recover`` forms print the
+    plain run's bursts, with the accounting lines pinned verbatim."""
+    from repro.__main__ import main
+    from repro.durable import DurableStreamIngestor
+    from repro.io import load_spec
+
+    spec_path, plain, feed, series, order = _cli_feed(tmp_path)
+    want = tmp_path / "want.csv"
+    assert main(
+        ["detect", str(spec_path), str(plain), "-o", str(want),
+         "--workers", "serial"]
+    ) == 0
+    capsys.readouterr()
+    bursts = want.read_text()
+    ingest = (
+        "# ingest: records=40 sealed(records=40, bins=40) dupes=0 "
+        "late(dropped=0, amended=0) corrections=0 reeval=0 "
+        "events(amended=0, retracted=0)"
+    )
+    ops = "# 40 records, 211 operations (5.3/record)"
+
+    run = tmp_path / "run"
+    got = tmp_path / "durable.csv"
+    assert main(
+        ["detect", str(spec_path), str(feed), "-o", str(got),
+         "--timestamped", "--max-lateness", "40",
+         "--durable-dir", str(run)]
+    ) == 0
+    assert got.read_text() == bursts
+    assert capsys.readouterr().err.splitlines() == [
+        ops, ingest, f"# durable: 2 WAL entries in {run}",
+    ]
+
+    assert main(["recover", str(run)]) == 0
+    out = capsys.readouterr()
+    assert out.out == bursts
+    assert out.err.splitlines() == [
+        "# recovered from snapshot lsn=2 + 0 replayed entries "
+        "(0 records); trimmed 0 entries (0 records); resume at op 2 "
+        "(record 40); stream already finished",
+        ops, ingest, f"# durable: 2 WAL entries in {run}",
+    ]
+
+    # Abandoned after three batches (no finish, WAL left open), then
+    # resumed by re-feeding the file from the reported record offset.
+    abandoned = tmp_path / "abandoned"
+    dur = DurableStreamIngestor(
+        load_spec(spec_path), abandoned, max_lateness=40, snapshot_every=2
+    )
+    for lo, hi in ((0, 15), (15, 25), (25, 30)):
+        ts = np.asarray(order[lo:hi], dtype=np.int64)
+        dur.push_batch(ts, series[ts])
+    del dur
+    assert main(["recover", str(abandoned), "--stream", str(feed)]) == 0
+    out = capsys.readouterr()
+    assert out.out == bursts
+    assert out.err.splitlines() == [
+        "# recovered from snapshot lsn=2 + 1 replayed entry (5 records); "
+        "trimmed 0 entries (0 records); resume at op 3 (record 30)",
+        ops, ingest, f"# durable: 5 WAL entries in {abandoned}",
+    ]
 
 
 def test_cli_late_policy_raise_fails_actionably(tmp_path):

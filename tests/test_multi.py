@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.chunked import ChunkedDetector
 from repro.core.multi import MultiStreamDetector
 from repro.core.naive import naive_detect
 from repro.core.sbt import shifted_binary_tree
@@ -41,6 +42,19 @@ class TestShared:
             streams, shifted_binary_tree(8), th
         )
         assert fleet.names == ("a", "b", "c")
+
+    def test_refine_filter_is_one_fleet_setting(self, rng):
+        th = NormalThresholds.from_data(
+            rng.poisson(7.0, 500).astype(float), 1e-3, all_sizes(8)
+        )
+        sbt = shifted_binary_tree(8)
+        off = MultiStreamDetector.shared("ab", sbt, th, refine_filter=False)
+        assert off.refine_filter is False
+        mixed = MultiStreamDetector(
+            {"a": off.detector("a"), "b": ChunkedDetector(sbt, th)}
+        )
+        with pytest.raises(ValueError, match="disagree"):
+            mixed.refine_filter
 
     def test_total_operations_accumulates(self, streams, rng):
         train = rng.poisson(7.0, 500).astype(float)
