@@ -306,11 +306,11 @@ class DurableMultiStreamIngestor:
         """Apply one journaled entry: the live call and replay both."""
         multi = self._multi
         if op == "batch":
-            # No int64 cast: a fractional timestamp an earlier version
-            # logged must be refused on replay as it was live.
+            # float64, not int64: a fractional timestamp an earlier
+            # version logged must be refused on replay as it was live.
             return multi.push_batch(
                 entry["s"],
-                np.asarray(entry["t"]),
+                np.asarray(entry["t"], dtype=np.float64),
                 np.asarray(entry["v"], dtype=np.float64),
             )
         if op == "push":
@@ -459,7 +459,7 @@ class DurableMultiStreamIngestor:
             except ValueError:
                 # A refusal that depends on state (a late record under
                 # "raise", correct() of an unsealed bin): the live call
-                # made the same mutations before raising to its caller.
+                # raised before mutating anything, and so does replay.
                 pass
         self._last_snapshot_lsn = snapshot_lsn
         self._maybe_snapshot()

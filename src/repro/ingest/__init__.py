@@ -2,9 +2,9 @@
 
 The detection stack (:mod:`repro.core`) consumes dense in-order series;
 this package is the adapter real feeds need.  Timestamped records —
-late, duplicated, out of order — buffer in a FiBA-style partial
-aggregation structure (:class:`OutOfOrderBuffer`), watermarks seal
-in-order chunks into the unchanged chunked-detector path, and late data
+late, duplicated, out of order — buffer in a dense window of unsealed
+time bins (:class:`OutOfOrderBuffer`), watermarks seal in-order chunks
+into the unchanged chunked-detector path, and late data
 under the ``amend`` policy revises already-published verdicts through
 first-class :class:`BurstAmended` / :class:`BurstRetracted` events with
 exact accounting (:class:`AmendmentLedger`).  See DESIGN.md §15.

@@ -1,28 +1,31 @@
-"""Out-of-order buffer: a treap of time bins with partial aggregates.
+"""Out-of-order buffer: a dense window of unsealed time bins.
 
-The unsealed region of a timestamped stream — everything at or above the
-watermark — is held in an order-statistic treap keyed by bin timestamp.
-Each node aggregates the records that landed on its bin, and each
-subtree carries the combined aggregate plus record/bin counts, so the
-structure supports the operations sliding-window aggregation papers
-(FiBA and its finger-tree relatives) identify as the out-of-order
-workload:
+Every unsealed record sits on an integer bin in ``[start, end)``, where
+``start`` is the sealed frontier and ``end - 1`` the newest bin holding
+a record.  The window is two arrays indexed by ``timestamp - start``:
+the combined value of each bin (float64) and its record count (int64).
+A zero count marks an empty bin, whose value is the aggregate's
+identity — so the window *is* the dense chunk sealing will release, and
+the operations sliding-window aggregation papers identify as the
+out-of-order workload become array operations:
 
-* ``insert`` — a record at any unsealed timestamp, O(log n) expected;
-* ``bulk_insert`` — a straggler batch, built sorted in O(k) and merged
-  by treap union rather than k independent inserts;
-* ``evict_below`` — watermark advance, splitting off every bin below
-  the new watermark in O(log n) and yielding them in time order;
-* ``range_value`` / ``total`` — partial-aggregate queries over bins.
+* ``insert`` — one record, an O(1) index update;
+* ``bulk_insert`` — a straggler batch, one vectorized scatter;
+* ``evict_below`` — watermark advance, an array slice handed over as
+  the sealed chunk.
 
-Determinism matters here: tree shape must be a pure function of the
-*set* of timestamps (not arrival order, not a clock, not a global RNG),
-or replay and the arrival-order-invariance harness could not compare
-runs structurally.  Priorities therefore come from a splitmix64-style
-integer hash of the timestamp itself.
+The float combine order is part of the output contract, because replay
+and the arrival-order harness compare sealed values exactly: records on
+one bin combine in arrival order, and a batch is first combined per bin
+in batch order and then into the bin, ``old + (b1 + b2)``.  Hence the
+scatter accumulates into a fresh identity array before one ``old +
+batch``; ``ufunc.at`` straight into the window would give ``(old + b1)
++ b2``.
 
-``check_invariants`` recomputes every partial aggregate brute-force;
-the property suite calls it after each mutation.
+A tree would only pay off for bins far sparser than the records, and
+even then sealing hands the detector every bin of ``[start, watermark)``
+as one dense chunk, so the window costs the same order as the seal that
+follows it.
 """
 
 from __future__ import annotations
@@ -36,16 +39,14 @@ from .records import validate_records
 
 __all__ = ["BinAggregate", "OutOfOrderBuffer"]
 
+#: Element-wise form of each registered aggregate's ``combine``.  Both
+#: insert paths use it, so a bin combines identically however its
+#: records arrived, down to the sign of a zero (Python's ``max`` and
+#: ``np.maximum`` break a ``0.0``/``-0.0`` tie differently).
+_UFUNCS = {"sum": np.add, "max": np.maximum}
 
-_MASK64 = (1 << 64) - 1
-
-
-def _priority(timestamp: int) -> int:
-    """splitmix64 finalizer: deterministic heap priority for a bin."""
-    z = (timestamp + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+#: Smallest window allocation, in bins.
+_MIN_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -57,337 +58,161 @@ class BinAggregate:
     count: int
 
 
-class _Node:
-    __slots__ = (
-        "ts",
-        "prio",
-        "value",
-        "count",
-        "left",
-        "right",
-        "sub_value",
-        "sub_records",
-        "sub_bins",
-    )
-
-    def __init__(self, ts: int, value: float) -> None:
-        self.ts = ts
-        self.prio = _priority(ts)
-        self.value = value
-        self.count = 1
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.sub_value = value
-        self.sub_records = 1
-        self.sub_bins = 1
-
-
 class OutOfOrderBuffer:
-    """Unsealed bins of one stream, ordered by timestamp.
+    """Unsealed bins of one stream, as a dense window over ``[start, end)``.
 
-    All mutators keep the subtree partials exact; all queries run off
-    the partials without touching per-record state (records are already
-    combined into their bin on insert).
+    Eviction slices the sealed prefix off the front of both arrays, so
+    they may be views of a larger allocation; the buffer never writes
+    below its ``start`` again, which keeps every returned chunk stable.
     """
 
     def __init__(self, aggregate: AggregateFunction) -> None:
-        self._aggregate = aggregate
-        self._combine = aggregate.combine
-        self._root: _Node | None = None
+        self._ufunc = _UFUNCS[aggregate.name]
+        self._identity = aggregate.identity
+        self._start = 0
+        self._end = 0
+        self._values = np.empty(0, dtype=np.float64)
+        self._counts = np.empty(0, dtype=np.int64)
 
-    # -- partial-aggregate maintenance ---------------------------------
-    def _pull(self, node: _Node) -> None:
-        value = node.value
-        records = node.count
-        bins = 1
-        for child in (node.left, node.right):
-            if child is not None:
-                value = self._combine(value, child.sub_value)
-                records += child.sub_records
-                bins += child.sub_bins
-        node.sub_value = value
-        node.sub_records = records
-        node.sub_bins = bins
+    def _reserve(self, size: int) -> None:
+        """Make room for window indices below ``size``.
 
-    def _merge(self, a: _Node | None, b: _Node | None) -> _Node | None:
-        """Join two treaps; every key in ``a`` precedes every key in ``b``."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a.prio >= b.prio:
-            a.right = self._merge(a.right, b)
-            self._pull(a)
-            return a
-        b.left = self._merge(a, b.left)
-        self._pull(b)
-        return b
+        A reallocation adds the live bin count as slack, so capacity
+        doubles while nothing is sealed, and otherwise amortizes over
+        the bins sealed before the next one.
+        """
+        if size <= self._values.size:
+            return
+        live = self._end - self._start
+        capacity = max(size, _MIN_CAPACITY) + live
+        values = np.full(capacity, self._identity, dtype=np.float64)
+        counts = np.zeros(capacity, dtype=np.int64)
+        values[:live] = self._values[:live]
+        counts[:live] = self._counts[:live]
+        self._values, self._counts = values, counts
 
-    def _split(
-        self, node: _Node | None, ts: int
-    ) -> tuple[_Node | None, _Node | None]:
-        """Split into (keys < ts, keys >= ts)."""
-        if node is None:
-            return None, None
-        if node.ts < ts:
-            node.right, high = self._split(node.right, ts)
-            self._pull(node)
-            return node, high
-        low, node.left = self._split(node.left, ts)
-        self._pull(node)
-        return low, node
+    def _check_start(self, lowest: int) -> None:
+        if lowest < self._start:
+            raise ValueError(
+                f"bin {lowest} is below the window start {self._start}"
+            )
 
     # -- mutators ------------------------------------------------------
-    def _insert(self, node: _Node | None, ts: int, value: float) -> tuple[
-        _Node, bool
-    ]:
-        if node is None:
-            return _Node(ts, value), True
-        if ts == node.ts:
-            node.value = self._combine(node.value, value)
-            node.count += 1
-            self._pull(node)
-            return node, False
-        if ts < node.ts:
-            node.left, fresh = self._insert(node.left, ts, value)
-            if node.left.prio > node.prio:
-                node = self._rotate_right(node)
-            else:
-                self._pull(node)
-            return node, fresh
-        node.right, fresh = self._insert(node.right, ts, value)
-        if node.right.prio > node.prio:
-            node = self._rotate_left(node)
-        else:
-            self._pull(node)
-        return node, fresh
-
-    def _rotate_right(self, node: _Node) -> _Node:
-        pivot = node.left
-        assert pivot is not None
-        node.left = pivot.right
-        pivot.right = node
-        self._pull(node)
-        self._pull(pivot)
-        return pivot
-
-    def _rotate_left(self, node: _Node) -> _Node:
-        pivot = node.right
-        assert pivot is not None
-        node.right = pivot.left
-        pivot.left = node
-        self._pull(node)
-        self._pull(pivot)
-        return pivot
-
     def insert(self, timestamp: int, value: float) -> bool:
         """Add one record; returns True if its bin is new.
 
         A False return means the record combined into an existing bin —
         the ledger counts it as a merged duplicate timestamp.
         """
-        self._root, fresh = self._insert(self._root, int(timestamp), value)
+        t = int(timestamp)
+        self._check_start(t)
+        i = t - self._start
+        self._reserve(i + 1)
+        fresh = not self._counts[i]
+        self._values[i] = self._ufunc(self._values[i], value)
+        self._counts[i] += 1
+        self._end = max(self._end, t + 1)
         return fresh
 
     def bulk_insert(
         self, timestamps: np.ndarray, values: np.ndarray
     ) -> int:
-        """Merge a straggler batch; returns records merged into old bins.
-
-        The batch is sorted and pre-combined per bin, built into a treap
-        bottom-up, then unioned with the buffer — O(k + k log(n/k))
-        rather than k root-to-leaf descents.
-        """
+        """Merge a straggler batch; returns records merged into old bins."""
         ts, vals = validate_records(timestamps, values, where="bulk_insert")
         if ts.size == 0:
             return 0
-        order = np.argsort(ts, kind="stable")
-        ts, vals = ts[order], vals[order]
-        batch: list[_Node] = []
-        for t, v in zip(ts.tolist(), vals.tolist()):
-            if batch and batch[-1].ts == t:
-                batch[-1].value = self._combine(batch[-1].value, v)
-                batch[-1].count += 1
-            else:
-                batch.append(_Node(t, v))
-        built = self._build_sorted(batch, 0, len(batch))
-        before = self.n_bins + len(batch)
-        self._root = self._union(self._root, built)
-        return int(ts.size) - (len(batch) - (before - self.n_bins))
+        lo, hi = int(ts.min()), int(ts.max())
+        self._check_start(lo)
+        self._reserve(hi - self._start + 1)
+        rel = ts - lo
+        span = slice(lo - self._start, hi + 1 - self._start)
+        batch = np.full(hi + 1 - lo, self._identity, dtype=np.float64)
+        self._ufunc.at(batch, rel, vals)
+        added = np.bincount(rel, minlength=batch.size)
+        old = self._counts[span]
+        fresh = int(np.count_nonzero(added[old == 0]))
+        self._values[span] = self._ufunc(self._values[span], batch)
+        self._counts[span] = old + added
+        self._end = max(self._end, hi + 1)
+        return int(ts.size) - fresh
 
-    def _build_sorted(
-        self, nodes: list[_Node], lo: int, hi: int
-    ) -> _Node | None:
-        """Treap of a sorted, distinct-key node list (max-prio at root)."""
-        if lo >= hi:
-            return None
-        top = lo
-        for i in range(lo + 1, hi):
-            if nodes[i].prio > nodes[top].prio:
-                top = i
-        node = nodes[top]
-        node.left = self._build_sorted(nodes, lo, top)
-        node.right = self._build_sorted(nodes, top + 1, hi)
-        self._pull(node)
-        return node
+    def evict_below(self, watermark: int) -> tuple[np.ndarray, int]:
+        """Seal ``[start, watermark)``: its dense chunk and record count.
 
-    def _union(self, a: _Node | None, b: _Node | None) -> _Node | None:
-        """Union two treaps, combining bins that share a timestamp."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a.prio < b.prio:
-            a, b = b, a
-        low, high = self._split(b, a.ts)
-        same, high = self._split(high, a.ts + 1)
-        if same is not None:
-            a.value = self._combine(a.value, same.value)
-            a.count += same.count
-        a.left = self._union(a.left, low)
-        a.right = self._union(a.right, high)
-        self._pull(a)
-        return a
+        Empty bins read as the aggregate identity.  A watermark at or
+        below ``start`` seals nothing.
+        """
+        length = int(watermark) - self._start
+        if length <= 0:
+            return np.empty(0, dtype=np.float64), 0
+        held = min(length, self._end - self._start)
+        records = int(self._counts[:held].sum())
+        if length <= self._values.size:
+            chunk = self._values[:length]
+        else:
+            chunk = np.full(length, self._identity, dtype=np.float64)
+            chunk[:held] = self._values[:held]
+        self._values = self._values[length:]
+        self._counts = self._counts[length:]
+        self._start += length
+        self._end = max(self._end, self._start)
+        return chunk, records
 
-    def restore(self, bins: list[BinAggregate]) -> None:
+    def restore(self, bins: list[BinAggregate], start: int) -> None:
         """Rebuild an empty buffer from a :meth:`bins` snapshot.
 
-        The durable layer's recovery path: bins arrive time-ordered with
-        their combined values *and record counts*, and the rebuilt treap
-        is structurally identical to the one snapshotted — priorities
-        are a pure function of the timestamp set, so shape carries over
-        for free and ``restore(b.bins())`` round-trips exactly.
+        The durable layer's recovery path: ``start`` is the snapshotted
+        frontier, and the bins arrive time-ordered with their combined
+        values *and record counts*, so ``restore(b.bins(), b.start)``
+        round-trips exactly.
         """
-        if self._root is not None:
+        if self.n_records:
             raise RuntimeError("restore() requires an empty buffer")
-        nodes: list[_Node] = []
-        last = None
+        last = start - 1
         for b in bins:
-            if last is not None and b.timestamp <= last:
+            if b.timestamp <= last:
                 raise ValueError(
-                    "restore() bins must be strictly time-ordered"
+                    "restore() bins must be strictly time-ordered, "
+                    "at or above the window start"
                 )
             if b.count < 1:
                 raise ValueError("restore() bin with empty record count")
             last = b.timestamp
-            node = _Node(int(b.timestamp), float(b.value))
-            node.count = int(b.count)
-            nodes.append(node)
-        self._root = self._build_sorted(nodes, 0, len(nodes))
-
-    def evict_below(self, watermark: int) -> list[BinAggregate]:
-        """Remove and return, in time order, every bin below ``watermark``."""
-        low, self._root = self._split(self._root, int(watermark))
-        sealed: list[BinAggregate] = []
-        stack: list[tuple[_Node, bool]] = [(low, False)] if low else []
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                sealed.append(
-                    BinAggregate(node.ts, node.value, node.count)
-                )
-                continue
-            if node.right is not None:
-                stack.append((node.right, False))
-            stack.append((node, True))
-            if node.left is not None:
-                stack.append((node.left, False))
-        return sealed
+        self._start = self._end = int(start)
+        self._reserve(last + 1 - self._start)
+        for b in bins:
+            self._values[b.timestamp - self._start] = float(b.value)
+            self._counts[b.timestamp - self._start] = int(b.count)
+        self._end = last + 1
 
     # -- queries -------------------------------------------------------
     @property
+    def start(self) -> int:
+        """The window start: every bin below it is sealed."""
+        return self._start
+
+    @property
     def n_bins(self) -> int:
         """Distinct unsealed timestamps currently buffered."""
-        return self._root.sub_bins if self._root else 0
+        return int(np.count_nonzero(self._counts[: self._end - self._start]))
 
     @property
     def n_records(self) -> int:
         """Records absorbed and not yet sealed (duplicates included)."""
-        return self._root.sub_records if self._root else 0
-
-    @property
-    def total(self) -> float:
-        """Aggregate over every buffered bin."""
-        if self._root is None:
-            return self._aggregate.identity
-        return self._root.sub_value
-
-    @property
-    def min_timestamp(self) -> int | None:
-        node = self._root
-        if node is None:
-            return None
-        while node.left is not None:
-            node = node.left
-        return node.ts
+        return int(self._counts[: self._end - self._start].sum())
 
     @property
     def max_timestamp(self) -> int | None:
-        node = self._root
-        if node is None:
-            return None
-        while node.right is not None:
-            node = node.right
-        return node.ts
-
-    def range_value(self, lo: int, hi: int) -> float:
-        """Aggregate over bins with ``lo <= timestamp < hi``."""
-        if hi <= lo:
-            return self._aggregate.identity
-        low, rest = self._split(self._root, int(lo))
-        mid, high = self._split(rest, int(hi))
-        value = mid.sub_value if mid else self._aggregate.identity
-        self._root = self._merge(self._merge(low, mid), high)
-        return value
+        return self._end - 1 if self._end > self._start else None
 
     def bins(self) -> list[BinAggregate]:
         """In-order snapshot of every buffered bin (non-destructive)."""
-        out: list[BinAggregate] = []
-
-        def walk(node: _Node | None) -> None:
-            if node is None:
-                return
-            walk(node.left)
-            out.append(BinAggregate(node.ts, node.value, node.count))
-            walk(node.right)
-
-        walk(self._root)
-        return out
-
-    # -- brute-force verification --------------------------------------
-    def check_invariants(self) -> None:
-        """Verify BST order, heap order, and every partial aggregate.
-
-        Recomputes each subtree's value/record/bin partials from scratch
-        and compares exactly — the brute-force check the property suite
-        leans on.  Raises AssertionError on any violation.
-        """
-
-        def check(node: _Node | None) -> tuple[float, int, int, int, int]:
-            if node is None:
-                ident = self._aggregate.identity
-                return ident, 0, 0, 1 << 62, -1
-            lv, lr, lb, lmin, lmax = check(node.left)
-            rv, rr, rb, rmin, rmax = check(node.right)
-            assert lmax < node.ts < rmin, "BST order violated"
-            for child in (node.left, node.right):
-                assert child is None or child.prio <= node.prio, (
-                    "heap order violated"
-                )
-            assert node.prio == _priority(node.ts), "priority not canonical"
-            assert node.count >= 1, "empty bin retained"
-            value = self._combine(self._combine(lv, node.value), rv)
-            records = lr + node.count + rr
-            bins = lb + 1 + rb
-            assert node.sub_value == value, "sub_value stale"
-            assert node.sub_records == records, "sub_records stale"
-            assert node.sub_bins == bins, "sub_bins stale"
-            return (
-                value,
-                records,
-                bins,
-                min(lmin, node.ts),
-                max(rmax, node.ts),
+        held = np.flatnonzero(self._counts[: self._end - self._start])
+        return [
+            BinAggregate(self._start + i, value, count)
+            for i, value, count in zip(
+                held.tolist(),
+                self._values[held].tolist(),
+                self._counts[held].tolist(),
             )
-
-        check(self._root)
+        ]

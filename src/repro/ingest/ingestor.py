@@ -122,7 +122,6 @@ class StreamIngestor:
         self.late_policy = late_policy
         self.ledger = AmendmentLedger()
         self._buffer = OutOfOrderBuffer(aggregate)
-        self._frontier = 0
         self._sealed = np.zeros(1024, dtype=np.float64)
         self._bursts: dict[tuple[int, int], float] = {}
         self._finished = False
@@ -131,7 +130,7 @@ class StreamIngestor:
     @property
     def watermark(self) -> int:
         """The sealed frontier: every bin strictly below it is sealed."""
-        return self._frontier
+        return self._buffer.start
 
     @property
     def buffer(self) -> OutOfOrderBuffer:
@@ -145,7 +144,7 @@ class StreamIngestor:
 
     def sealed_series(self) -> np.ndarray:
         """Copy of the sealed dense series (index = time bin)."""
-        return self._sealed[: self._frontier].copy()
+        return self._sealed[: self.watermark].copy()
 
     def final_bursts(self) -> BurstSet:
         """Bursts as currently believed: reported, minus retracted,
@@ -166,9 +165,10 @@ class StreamIngestor:
         this with the detector's :meth:`~repro.core.chunked.ChunkedDetector.carry`
         so the two halves checkpoint at the same seal boundary.
         """
+        frontier = self.watermark
         return {
-            "frontier": int(self._frontier),
-            "sealed": self._sealed[: self._frontier].tolist(),
+            "frontier": frontier,
+            "sealed": self._sealed[:frontier].tolist(),
             "bursts": [
                 [int(end), int(size), float(value)]
                 for (end, size), value in sorted(self._bursts.items())
@@ -188,7 +188,7 @@ class StreamIngestor:
         restored to the matching carry — the pair then continues
         byte-identically to a run that never stopped.
         """
-        if self._frontier or self._buffer.n_bins or self.ledger.records:
+        if self.watermark or self._buffer.n_bins or self.ledger.records:
             raise RuntimeError(
                 "restore_state() requires a fresh ingestor"
             )
@@ -198,7 +198,6 @@ class StreamIngestor:
             raise ValueError(
                 f"sealed series length {sealed.size} != frontier {frontier}"
             )
-        self._frontier = frontier
         self._sealed = np.zeros(
             max(1024, 2 * frontier or 1024), dtype=np.float64
         )
@@ -211,7 +210,8 @@ class StreamIngestor:
             [
                 BinAggregate(int(t), float(v), int(c))
                 for t, v, c in state["buffer"]  # type: ignore[union-attr]
-            ]
+            ],
+            frontier,
         )
         self.ledger = AmendmentLedger.from_dict(state["ledger"])  # type: ignore[arg-type]
         self._finished = bool(state["finished"])
@@ -220,11 +220,14 @@ class StreamIngestor:
     def push(self, timestamp: int, value: float) -> list[Burst]:
         """Ingest one record; returns bursts from any seal it causes."""
         self._check_open()
-        t, v = self._check_record(timestamp, value)
-        self.ledger.records += 1
-        if t < self._frontier:
+        ts, vals = validate_records([timestamp], [value], where="push")
+        [t], [v] = ts.tolist(), vals.tolist()
+        if t < self.watermark:
+            self._refuse_late(t)
+            self.ledger.records += 1
             self._handle_late(t, v)
             return []
+        self.ledger.records += 1
         if not self._buffer.insert(t, v):
             self.ledger.duplicates_merged += 1
         return self._seal_to(t - self.max_lateness)
@@ -236,14 +239,18 @@ class StreamIngestor:
 
         Lateness is judged against the frontier *at batch start* — a
         straggler batch may carry bins the rest of the batch would
-        otherwise seal.  Late records are handled per policy in batch
-        order; the on-time remainder bulk-inserts into the buffer; the
-        watermark then advances once, off the batch maximum.
+        otherwise seal.  Under policy ``raise`` a late record refuses
+        the whole batch; otherwise late records are handled per policy
+        in batch order, the on-time remainder bulk-inserts into the
+        buffer, and the watermark then advances once, off the batch
+        maximum.
         """
         self._check_open()
         ts, vals = validate_records(timestamps, values, where="push_batch")
+        late = ts < self.watermark
+        if late.any():
+            self._refuse_late(int(ts[late][0]))
         self.ledger.records += int(ts.size)
-        late = ts < self._frontier
         for t, v in zip(ts[late].tolist(), vals[late].tolist()):
             self._handle_late(t, v)
         ts, vals = ts[~late], vals[~late]
@@ -302,22 +309,26 @@ class StreamIngestor:
         so push the record instead.  Legal after :meth:`finish` (the
         verdict on history may be revised after the stream ends).
         """
-        t, v = self._check_record(timestamp, value)
-        if t >= self._frontier:
+        ts, vals = validate_records([timestamp], [value], where="correct")
+        [t], [v] = ts.tolist(), vals.tolist()
+        if t >= self.watermark:
             raise ValueError(
-                f"bin {t} is not sealed (frontier {self._frontier}); "
+                f"bin {t} is not sealed (frontier {self.watermark}); "
                 "correct() rewrites published history — push the record"
             )
         self._rewrite_bin(t, v)
         self.ledger.corrections += 1
 
-    def _handle_late(self, t: int, v: float) -> None:
+    def _refuse_late(self, t: int) -> None:
+        """Refuse late bin ``t`` under policy ``raise``, before counting."""
         if self.late_policy == "raise":
             raise LateRecordError(
                 f"record at bin {t} arrived below the sealed frontier "
-                f"{self._frontier} (max_lateness={self.max_lateness}); "
+                f"{self.watermark} (max_lateness={self.max_lateness}); "
                 "use --late-policy drop|amend to accept late data"
             )
+
+    def _handle_late(self, t: int, v: float) -> None:
         if self.late_policy == "drop":
             self.ledger.late_dropped += 1
             return
@@ -353,7 +364,7 @@ class StreamIngestor:
         for size in self._thresholds.window_sizes.tolist():
             f = self._thresholds.threshold(size)
             lo = max(t, size - 1)
-            hi = min(t + size - 1, self._frontier - 1)
+            hi = min(t + size - 1, self.watermark - 1)
             for end in range(lo, hi + 1):
                 start = end - size + 1
                 window = series[start : end + 1]
@@ -380,29 +391,26 @@ class StreamIngestor:
 
     # -- sealing -------------------------------------------------------
     def _seal_to(self, new_frontier: int) -> list[Burst]:
-        if new_frontier <= self._frontier:
+        frontier = self.watermark
+        if new_frontier <= frontier:
             return []
-        length = new_frontier - self._frontier
-        chunk = np.full(length, self._aggregate.identity, dtype=np.float64)
-        for sealed_bin in self._buffer.evict_below(new_frontier):
-            chunk[sealed_bin.timestamp - self._frontier] = sealed_bin.value
-            self.ledger.records_sealed += sealed_bin.count
-        self._store(chunk)
-        self.ledger.bins_sealed += length
-        self._frontier = new_frontier
+        chunk, records = self._buffer.evict_below(new_frontier)
+        self._store(frontier, chunk)
+        self.ledger.records_sealed += records
+        self.ledger.bins_sealed += chunk.size
         bursts = self._sink.process(chunk)
         self._register(bursts)
         return bursts
 
-    def _store(self, chunk: np.ndarray) -> None:
-        need = self._frontier + chunk.size
+    def _store(self, frontier: int, chunk: np.ndarray) -> None:
+        need = frontier + chunk.size
         if need > self._sealed.size:
             grown = np.zeros(
                 max(need, 2 * self._sealed.size), dtype=np.float64
             )
-            grown[: self._frontier] = self._sealed[: self._frontier]
+            grown[:frontier] = self._sealed[:frontier]
             self._sealed = grown
-        self._sealed[self._frontier : need] = chunk
+        self._sealed[frontier:need] = chunk
 
     def _register(self, bursts: list[Burst]) -> None:
         for b in bursts:
@@ -414,21 +422,6 @@ class StreamIngestor:
             raise RuntimeError(
                 "ingestor already finished; only correct() may follow"
             )
-
-    def _check_record(
-        self, timestamp: int, value: float
-    ) -> tuple[int, float]:
-        t = int(timestamp)
-        if t != timestamp:
-            raise ValueError(f"non-integral timestamp {timestamp!r}")
-        if t < 0:
-            raise ValueError(f"negative timestamp {timestamp!r}")
-        v = float(value)
-        if not np.isfinite(v) or v < 0:
-            raise ValueError(
-                f"record value must be finite and non-negative, got {value!r}"
-            )
-        return t, v
 
 
 class _NamedSink:

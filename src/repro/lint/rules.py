@@ -517,7 +517,8 @@ class ExplicitDtypes(Rule):
     name = "explicit-dtypes"
     invariant = (
         "np.asarray/np.empty/np.zeros/np.ones/np.full in repro.core, "
-        "repro.runtime, and repro.io pass an explicit dtype"
+        "repro.runtime, repro.io, repro.ingest and repro.durable pass an "
+        "explicit dtype"
     )
 
     #: Constructor -> positional index where dtype may appear instead.
@@ -534,6 +535,12 @@ class ExplicitDtypes(Rule):
             module.in_dir("repro", "core")
             or module.in_dir("repro", "runtime")
             or module.in_dir("repro", "io")
+            # The out-of-order buffer keeps int64 record counts beside
+            # float64 bin values; an inferred dtype swaps the arithmetic.
+            or module.in_dir("repro", "ingest")
+            # Replayed WAL entries are JSON lists, whose inferred dtype
+            # follows whatever numbers the log happens to hold.
+            or module.in_dir("repro", "durable")
         )
 
     def check(self, module: LintModule) -> Iterator[Finding]:

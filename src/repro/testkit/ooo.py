@@ -15,8 +15,12 @@ amendment ledger.  This module tests that contract two ways:
   ``max_lateness`` bins ahead of it — precisely the arrivals a correct
   feed under that lateness bound can produce, so none of them are late
   and the ledger must match the in-order run exactly (no amendment
-  events).  The relation also pins the adapter itself: the in-order
-  ingestion run must match the plain chunked backend.
+  events).  Each permutation is delivered twice: one ``push`` per
+  record, and through ``push_batch`` in seeded random slices.  Batching
+  cannot make a record late — the frontier at the start of a batch is
+  at or below the one each of its records would meet if pushed alone.
+  The relation also pins the adapter itself: the in-order ingestion run
+  must match the plain chunked backend.
 
 * the ``repro.testkit.ooo.v1`` corpus format — reproducer files that
   *do* contain genuinely late records and post-finish corrections, with
@@ -33,6 +37,7 @@ detections per case).
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 from typing import Any
 
@@ -97,10 +102,28 @@ def _counter_fingerprint(counters: OpCounters) -> dict[str, Any]:
     }
 
 
+def _batch_ends(case: FuzzCase, k: int) -> np.ndarray:
+    """Seeded slice ends for delivering permutation ``k`` in batches.
+
+    Drawn from the case's own stream and ``k``, never from the
+    relation's shared RNG, so the permutations and every later draw
+    (the ``crash_recover`` kill points) stay what they were.
+    """
+    n = int(case.stream.size)
+    rng = np.random.default_rng([zlib.crc32(case.stream.tobytes()), k])
+    cuts = np.flatnonzero(rng.random(n - 1) < rng.uniform(0.05, 0.5)) + 1
+    return np.append(cuts, n)
+
+
 def _ingest_run(
-    case: FuzzCase, arrival: np.ndarray, max_lateness: int
+    case: FuzzCase,
+    arrival: np.ndarray,
+    max_lateness: int,
+    batch_ends: np.ndarray | None = None,
 ) -> tuple[BurstSet, dict[str, Any], dict[str, Any]]:
-    """Deliver the case's stream in ``arrival`` order through ingestion."""
+    """Deliver the case's stream in ``arrival`` order through ingestion:
+    one ``push`` per record, or one ``push_batch`` per slice ending at
+    each of ``batch_ends``."""
     spec = case.spec
     detector = ChunkedDetector(
         spec.structure,
@@ -116,8 +139,14 @@ def _ingest_run(
         late_policy="raise",
     )
     stream = case.stream
-    for t in arrival.tolist():
-        ingestor.push(t, float(stream[t]))
+    if batch_ends is None:
+        for t in arrival.tolist():
+            ingestor.push(t, float(stream[t]))
+    else:
+        lo = 0
+        for hi in batch_ends.tolist():
+            ingestor.push_batch(arrival[lo:hi], stream[arrival[lo:hi]])
+            lo = hi
     ingestor.finish()
     return (
         ingestor.final_bursts(),
@@ -164,12 +193,21 @@ def ooo_shuffle(
             )
         )
 
+    runs = []
     for k in range(permutations):
         arrival = watermark_consistent_arrival(rng, n, max_lateness)
-        label = f"ingest-perm-{k}(L={max_lateness})"
+        runs.append((f"ingest-perm-{k}(L={max_lateness})", arrival, None))
+        runs.append(
+            (
+                f"ingest-perm-{k}-batched(L={max_lateness})",
+                arrival,
+                _batch_ends(case, k),
+            )
+        )
+    for label, arrival, batch_ends in runs:
         try:
             bursts, counters, ledger = _ingest_run(
-                case, arrival, max_lateness
+                case, arrival, max_lateness, batch_ends
             )
         except Exception as exc:  # noqa: BLE001 - crashes are findings
             out.append(

@@ -564,7 +564,7 @@ REFUSED_CALLS = {
         False, lambda d: d.push_batch([20.5, 21.0], [1.0, 2.0]), ValueError
     ),
     "correct-unsealed": (False, lambda d: d.correct(25, 1.0), ValueError),
-    # Refused after its first record was counted: the mutation stays.
+    # Refused before any record is counted, live and on replay alike.
     "late-record": (
         False, lambda d: d.push_batch([25, 5], [1.0, 1.0]), LateRecordError
     ),
@@ -595,8 +595,8 @@ def _state(dur) -> tuple:
 @pytest.mark.parametrize("case", sorted(REFUSED_CALLS))
 def test_refused_call_does_not_poison_the_log(spec, rng, tmp_path, case):
     """Recovery lands on the live run's state after a refused call:
-    nothing it cannot replay was logged, and what was logged replays
-    to the mutations the live call made before raising."""
+    nothing it cannot replay was logged, and what was logged is refused
+    on replay as it was live."""
     fleet, call, error = REFUSED_CALLS[case]
     vals = rng.poisson(6.0, 30).astype(np.float64)
     directory = tmp_path / "run"

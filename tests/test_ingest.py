@@ -124,6 +124,22 @@ def test_push_batch_equals_single_pushes():
     assert one.ledger.as_dict() == batched.ledger.as_dict()
 
 
+def test_combine_order_is_pinned():
+    """A batch combines per bin first, then into the bin; single pushes
+    combine one at a time.  Non-dyadic values make the order visible."""
+    batched, _ = make_ingestor()
+    batched.push_batch([3], [0.1])
+    batched.push_batch([3, 3], [0.2, 0.3])
+    batched.finish()
+    assert batched.sealed_series()[3] == 0.1 + (0.2 + 0.3) == 0.6
+    single, _ = make_ingestor()
+    for v in (0.1, 0.2, 0.3):
+        single.push(3, v)
+    single.finish()
+    assert single.sealed_series()[3] == (0.1 + 0.2) + 0.3
+    assert single.sealed_series()[3] == 0.6000000000000001
+
+
 def test_push_after_finish_refused():
     ingestor, _ = make_ingestor()
     ingestor.push(0, 1.0)
@@ -140,6 +156,28 @@ def test_raise_policy_names_frontier_and_remedy():
     ingestor.push(10, 1.0)
     with pytest.raises(LateRecordError, match=r"frontier 10.*late-policy"):
         ingestor.push(3, 1.0)
+
+
+def test_refused_late_records_keep_the_ledger_identity():
+    ingestor, _ = make_ingestor(max_lateness=2)
+    for t in range(10):
+        ingestor.push(t, 1.0)
+    refusals = (
+        lambda: ingestor.push_batch([11, 3, 12], [1.0, 1.0, 1.0]),
+        lambda: ingestor.push(3, 1.0),
+    )
+    for refused in refusals:
+        with pytest.raises(LateRecordError):
+            refused()
+        ledger = ingestor.ledger
+        assert ledger.records == 10
+        assert (
+            ledger.records
+            == ledger.records_sealed
+            + ledger.late_dropped
+            + ledger.late_amended
+            + ingestor.buffered_records
+        )
 
 
 def test_drop_policy_counts_but_ignores():
@@ -235,14 +273,31 @@ def test_timestamped_record_ordering():
 # -- input validation --------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "timestamp, value",
-    [(-1, 1.0), (1.5, 1.0), (0, -1.0), (0, float("nan")), (0, float("inf"))],
-)
+BAD_RECORDS = [
+    (-1, 1.0),
+    (1.5, 1.0),
+    (0, -1.0),
+    (0, float("nan")),
+    (0, float("inf")),
+    (float("inf"), 1.0),
+    (float("nan"), 1.0),
+]
+
+
+@pytest.mark.parametrize("timestamp, value", BAD_RECORDS)
 def test_push_rejects_bad_records(timestamp, value):
     ingestor, _ = make_ingestor()
     with pytest.raises(ValueError):
         ingestor.push(timestamp, value)
+
+
+@pytest.mark.parametrize("timestamp, value", BAD_RECORDS)
+def test_correct_rejects_bad_records(timestamp, value):
+    ingestor, _ = make_ingestor()
+    ingestor.push(4, 1.0)  # bins 0-3 sealed
+    with pytest.raises(ValueError):
+        ingestor.correct(timestamp, value)
+    assert ingestor.ledger.corrections == 0
 
 
 def test_push_batch_rejects_bad_arrays():

@@ -58,6 +58,7 @@ def expected_lines(path: Path, code: str) -> list[int]:
         ("testkit/rl005_bad.py", "RL005"),
         ("ingest/rl005_bad.py", "RL005"),
         ("core/rl006_bad.py", "RL006"),
+        ("ingest/rl006_bad.py", "RL006"),
         ("runtime/rl007_bad.py", "RL007"),
         ("runtime/rl008_bad.py", "RL008"),
         ("core/kernel/rl009_bad.py", "RL009"),
