@@ -1,28 +1,17 @@
 #!/usr/bin/env python
-"""Persisted benchmark runner: detection speed and overload-layer cost.
+"""Persisted benchmark runner: detection speed and durability cost.
 
 Writes ``BENCH_<pr>.json`` (repo root by default) so speed and overhead
 claims are recorded next to the code they describe instead of living in
-PR text.  Three scenarios run over the same seeded multi-stream
+PR text.  Two scenarios run over the same seeded multi-stream
 workload:
 
 * ``serial`` — the in-process :class:`MultiStreamDetector` backend:
   the points/s and ops/point reference.
-* ``parallel_baseline`` — a 2-worker pool with the overload layer
-  compiled out (``shedding="none"``, no ``OverloadConfig``): the PR 5
-  dispatch path.
-* ``parallel_overload_idle`` — the same pool with the overload planner
-  engaged but never tripping (default thresholds are far above bench
-  latencies): every round pays the planner, the latency EMA, and the
-  telemetry bookkeeping, shedding nothing.
+* ``parallel_baseline`` — a 2-worker pool on the plain dispatch path.
 
-The headline number is the *idle overhead*: the relative wall-clock
-cost of ``parallel_overload_idle`` over ``parallel_baseline``, which
-the overload layer promises to keep small (<= 3%).  Runs alternate
-between the two parallel scenarios and the medians are compared, so
-slow-machine drift hits both sides equally.
-
-A fourth section benchmarks the durability layer (PR 10): the same
+A kernel section times the fused scan per backend, and a durable
+section benchmarks the durability layer: the same
 timestamped stream is fed in batches through the plain watermark
 ingestor (WAL off) and through ``DurableStreamIngestor`` (WAL on —
 journal every batch, checksum, seal segments with fsync, snapshot on
@@ -65,7 +54,7 @@ from repro.core.thresholds import (
 from repro.durable import DurableStreamIngestor
 from repro.ingest import StreamIngestor
 from repro.io.spec import DetectorSpec
-from repro.runtime import OverloadConfig, ParallelMultiStreamDetector
+from repro.runtime import ParallelMultiStreamDetector
 
 
 def make_workload(
@@ -414,33 +403,17 @@ def main(argv=None):
         run_once(streams, structure, thresholds, chunk, workers="serial")
         for _ in range(args.repeats)
     ]
-    # Interleave the two parallel scenarios so machine drift (thermal,
-    # co-tenants) biases neither side of the overhead comparison.
-    baseline, idle = [], []
-    for _ in range(args.repeats):
-        baseline.append(
-            run_once(
-                streams, structure, thresholds, chunk,
-                workers=args.workers,
-            )
+    baseline = [
+        run_once(
+            streams, structure, thresholds, chunk, workers=args.workers
         )
-        idle.append(
-            run_once(
-                streams, structure, thresholds, chunk,
-                workers=args.workers,
-                shedding="none",
-                overload=OverloadConfig(),
-            )
-        )
+        for _ in range(args.repeats)
+    ]
 
     scenarios = {
         "serial": median_runs(serial),
         "parallel_baseline": median_runs(baseline),
-        "parallel_overload_idle": median_runs(idle),
     }
-    base_s = scenarios["parallel_baseline"]["seconds_min"]
-    idle_s = scenarios["parallel_overload_idle"]["seconds_min"]
-    overhead = (idle_s - base_s) / base_s
     payload = {
         "pr": args.pr,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -456,12 +429,6 @@ def main(argv=None):
         "scenarios": scenarios,
         "kernel_trajectory": kernel_trajectory(args),
         "durable_trajectory": durable_trajectory(args),
-        "overload_idle_overhead": {
-            "relative": overhead,
-            "absolute_s": idle_s - base_s,
-            "budget": 0.03,
-            "within_budget": overhead <= 0.03,
-        },
     }
     out = args.output
     if out is None:

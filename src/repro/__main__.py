@@ -170,8 +170,6 @@ def _make_fleet(args: argparse.Namespace, names, spec):
             aggregate=spec.aggregate,
             backend=args.backend,
             faults=args.faults,
-            shedding=args.shedding,
-            overload=_overload_config(args),
         )
     except RuntimeError as exc:
         # e.g. --backend numba without numba installed.
@@ -186,50 +184,6 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
         "restart (checkpoint/replay crashed or hung workers), or "
         "degrade (fall back to in-process serial execution)",
     )
-
-
-def _add_overload(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shedding",
-        choices=("none", "widen_chunks", "sample_streams", "coarsen_sat"),
-        default="none",
-        help="load-shedding policy while overloaded: none (default), "
-        "widen_chunks (defer+batch, lossless), sample_streams (drop a "
-        "rotating stream subset, recorded), or coarsen_sat (collapse "
-        "structures to two levels, identical bursts at higher cost)",
-    )
-    parser.add_argument(
-        "--overload-enter", type=float, default=None, metavar="SECONDS",
-        help="smoothed worker latency above which the run counts as "
-        "overloaded (default 1.0)",
-    )
-    parser.add_argument(
-        "--overload-exit", type=float, default=None, metavar="SECONDS",
-        help="smoothed latency below which overload ends; must be "
-        "below --overload-enter (default 0.25)",
-    )
-    parser.add_argument(
-        "--overload-dwell", type=int, default=None, metavar="ROUNDS",
-        help="minimum rounds between overload state changes (default 3)",
-    )
-
-
-def _overload_config(args: argparse.Namespace):
-    """An OverloadConfig when any knob was set, else None (defaults)."""
-    from .runtime import OverloadConfig
-
-    overrides = {
-        "enter_latency": args.overload_enter,
-        "exit_latency": args.overload_exit,
-        "min_dwell_rounds": args.overload_dwell,
-    }
-    set_overrides = {k: v for k, v in overrides.items() if v is not None}
-    if not set_overrides and args.shedding == "none":
-        return None
-    try:
-        return OverloadConfig(**set_overrides)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
 
 
 def _burst_csv(bursts) -> str:
@@ -654,7 +608,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_durable(p_detect)
     _add_backend(p_detect)
     _add_faults(p_detect)
-    _add_overload(p_detect)
     p_detect.set_defaults(func=_cmd_detect)
 
     p_recover = sub.add_parser(
@@ -707,7 +660,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_ingestion(p_many)
     _add_backend(p_many)
     _add_faults(p_many)
-    _add_overload(p_many)
     p_many.set_defaults(func=_cmd_detect_many)
 
     p_inspect = sub.add_parser("inspect", help="describe a detector spec")

@@ -487,6 +487,8 @@ class AdaptiveDetector:
 
     def detect(self, data: np.ndarray, chunk_size: int = 1 << 15) -> BurstSet:
         """Convenience: run over a whole array in chunks."""
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         data = np.asarray(data, dtype=np.float64)
         bursts: list[Burst] = []
         for lo in range(0, data.size, chunk_size):

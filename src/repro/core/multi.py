@@ -216,6 +216,8 @@ class MultiStreamDetector:
         chunk_size: int = DEFAULT_CHUNK,
     ) -> dict[str, BurstSet]:
         """Run every stream to completion; returns a BurstSet per stream."""
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         data = {k: np.asarray(v, dtype=np.float64) for k, v in data.items()}
         unknown = set(data) - set(self._detectors)
         if unknown:

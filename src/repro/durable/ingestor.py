@@ -185,7 +185,7 @@ class DurableMultiStreamIngestor:
     :class:`~repro.core.multi.MultiStreamDetector` and the parallel
     runtime both do).  Snapshots are taken between operations — for
     the parallel runtime that is a round boundary, where worker
-    carries are current and consistent with any pending coarsen swap.
+    carries are current.
     Construction starts a *new* durable run in ``durable_dir`` (which
     must not already hold one — resume an existing run with
     :meth:`recover`).

@@ -14,8 +14,8 @@ lose trust.  Every revision is therefore a first-class event:
   its threshold after a downward correction.
 
 The :class:`AmendmentLedger` accumulates these events plus exact
-counters for every record the ingestor touched, in the spirit of the
-runtime's shedding report: a run is only trustworthy if the arithmetic
+counters for every record the ingestor touched: a run is only
+trustworthy if the arithmetic
 ``records = sealed-in-order + late_amended + late_dropped + buffered``
 closes.  Everything in the ledger is a pure function of the record
 multiset and the punctuation sequence — arrival order must not leak in,
@@ -203,7 +203,7 @@ class AmendmentLedger:
         }
 
     def summary(self) -> str:
-        """One human line, shedding-report style."""
+        """One human line of ``key=value`` totals."""
         return (
             f"records={self.records} "
             f"sealed(records={self.records_sealed}, "

@@ -27,7 +27,6 @@ __all__ = [
     "NoWallClockInCore",
     "ExplicitDtypes",
     "DeadlineAwareIPC",
-    "AccountableShedding",
     "KernelBoundary",
     "ImportLayering",
     "IpcProtocolConformance",
@@ -637,82 +636,6 @@ class DeadlineAwareIPC(Rule):
         return best
 
 
-class AccountableShedding(Rule):
-    """RL008 — work is never shed off the books.
-
-    The overload layer's contract (ISSUE 6) is that load shedding is
-    *accountable*: ``shedding="none"`` is byte-identical to serial, and
-    every other policy can say exactly which streams lost or deferred
-    how many points.  That only holds if every helper that drops,
-    samples, defers, or coarsens work writes a ledger entry; one silent
-    drop and the :class:`~repro.runtime.overload.SheddingReport` totals
-    under-count forever with no error to notice.  Pure structure
-    transforms that touch no stream data (``coarsen_structure``) carry
-    an explicit suppression.
-    """
-
-    code = "RL008"
-    name = "accountable-shedding"
-    invariant = (
-        "every repro.runtime function that sheds work (name led by "
-        "shed/drop/sample/defer/discard/coarsen) records the event on "
-        "a SheddingReport; accessors marked @property are exempt"
-    )
-
-    _VERBS = ("shed", "drop", "sample", "defer", "discard", "coarsen")
-    _EVIDENCE = re.compile(r"report|record|shedaction", re.IGNORECASE)
-    _ACCESSOR = {"property", "cached_property", "getter", "setter", "deleter"}
-
-    def applies_to(self, module: LintModule) -> bool:
-        return module.in_dir("repro", "runtime")
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not self._sheds_by_name(node.name):
-                continue
-            if self._is_accessor(node):
-                continue
-            if self._has_ledger_evidence(node):
-                continue
-            yield module.finding(
-                node,
-                self,
-                f"{node.name}() sheds work but never touches a "
-                "SheddingReport; record a ShedAction for every dropped, "
-                "deferred, or coarsened stream so the totals stay exact",
-            )
-
-    @classmethod
-    def _sheds_by_name(cls, name: str) -> bool:
-        head = name.lstrip("_").split("_", 1)[0]
-        return head.startswith(cls._VERBS)
-
-    @classmethod
-    def _is_accessor(
-        cls, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> bool:
-        return any(
-            _terminal_name(dec) in cls._ACCESSOR
-            for dec in node.decorator_list
-        )
-
-    def _has_ledger_evidence(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and self._EVIDENCE.search(sub.id):
-                return True
-            if isinstance(sub, ast.Attribute) and self._EVIDENCE.search(
-                sub.attr
-            ):
-                return True
-            if isinstance(sub, ast.arg) and self._EVIDENCE.search(sub.arg):
-                return True
-        return False
-
-
 class KernelBoundary(Rule):
     """RL009 — the native kernel stays a leaf with accountable scans.
 
@@ -1067,7 +990,6 @@ ALL_RULES: tuple[Rule, ...] = (
     NoWallClockInCore(),
     ExplicitDtypes(),
     DeadlineAwareIPC(),
-    AccountableShedding(),
     KernelBoundary(),
     ImportLayering(),
     IpcProtocolConformance(),

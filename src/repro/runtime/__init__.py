@@ -22,11 +22,6 @@ parallel; this package supplies the substrate:
 * :mod:`repro.runtime.faults` — seeded, deterministic fault injection
   (:class:`~repro.runtime.faults.FaultPlan`) used by the chaos suite to
   *prove* the recovery paths byte-identical to serial execution;
-* :mod:`repro.runtime.overload` — graceful degradation under sustained
-  load: a latency-EMA overload detector with hysteresis, an accountable
-  shedding ledger (:class:`~repro.runtime.overload.SheddingReport` —
-  nothing is dropped or coarsened silently), and the
-  :class:`~repro.runtime.overload.RuntimeStats` snapshot;
 * :mod:`repro.runtime.parallel` —
   :class:`~repro.runtime.parallel.ParallelMultiStreamDetector`, the
   drop-in parallel counterpart of
@@ -34,21 +29,12 @@ parallel; this package supplies the substrate:
   identical per-stream operation counts, ``workers="auto" | int |
   "serial"`` backend selection with graceful serial fallback, a
   ``faults="raise" | "restart" | "degrade"`` recovery policy, and a
-  ``shedding="none" | "widen_chunks" | "sample_streams" |
-  "coarsen_sat"`` overload policy with a ``stats()`` snapshot.
+  :class:`~repro.runtime.parallel.RuntimeStats` ``stats()`` snapshot of
+  reply-wait percentiles, queue depth, restarts and degradation.
 """
 
 from .faults import Fault, FaultInjector, FaultPlan
-from .overload import (
-    SHEDDING_POLICIES,
-    OverloadConfig,
-    OverloadDetector,
-    RuntimeStats,
-    ShedAction,
-    SheddingReport,
-    coarsen_structure,
-)
-from .parallel import ParallelMultiStreamDetector
+from .parallel import ParallelMultiStreamDetector, RuntimeStats
 from .pool import (
     WorkerCrashed,
     WorkerError,
@@ -72,13 +58,7 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FaultInjector",
-    "SHEDDING_POLICIES",
-    "OverloadConfig",
-    "OverloadDetector",
     "RuntimeStats",
-    "ShedAction",
-    "SheddingReport",
-    "coarsen_structure",
     "ChunkRef",
     "ChunkReader",
     "ChunkCorruption",

@@ -21,10 +21,10 @@ Fault kinds (``Fault.kind``):
   escalation kills it, and the replay must still be byte-identical.
 * ``"delay"`` — the straggler: the worker sleeps ``seconds`` before
   processing the round, then replies normally.  Nothing fails; the
-  reply is just late, which is exactly the signal the overload layer
-  (latency EMA, backpressure, shedding) is built to absorb.  Keep the
-  delay below the supervisor deadline to model a slow worker; push it
-  past the deadline and it degenerates into a ``hang``.
+  reply is just late, which makes reply latency visible in the
+  runtime's ``stats()`` percentiles.  Keep the delay below the
+  supervisor deadline to model a slow worker; push it past the
+  deadline and it degenerates into a ``hang``.
 * ``"corrupt"`` — the parent flips the bytes of one stream's
   shared-memory slot after writing it, exercising checksum detection
   and the rewrite-and-resend path (the worker stays alive).

@@ -40,22 +40,14 @@ best-first structure search per stream dominates setup cost, and each
 stream's search is independent, so :meth:`per_stream` ships training
 data through shared memory and trains every shard concurrently.
 
-Overload control (``shedding=`` + ``overload=``): the pool's in-flight
-bound gives explicit backpressure, a clock-free latency EMA with
-hysteresis decides when the run is overloaded, and a
-:class:`~repro.runtime.overload.ShedPlanner` applies the chosen policy
-round by round — deferring (``widen_chunks``), dropping
-(``sample_streams``), or structurally coarsening (``coarsen_sat``)
-work, with every action recorded in a
-:class:`~repro.runtime.overload.SheddingReport`.  :meth:`stats` surfaces
-the whole picture (latency percentiles, queue depth, overload state,
-shed totals, restarts, degradation) at any point, including after
-:meth:`close`.
+Health (:meth:`stats`): a :class:`RuntimeStats` snapshot of what the
+pool already measures — reply-wait percentiles, queue depth, restarts
+and degradation — valid at any point, including after :meth:`close`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -75,17 +67,6 @@ from ..core.search import SearchParams
 from ..core.structure import SATStructure
 from ..core.thresholds import ThresholdModel
 from .faults import FaultInjector, FaultPlan, corrupt_chunk
-from .overload import (
-    SHEDDING_POLICIES,
-    OverloadConfig,
-    RuntimeStats,
-    ShedPlanner,
-    SheddingReport,
-    coarsen_structure,
-    latency_percentiles,
-    swap_alignment,
-    swap_split,
-)
 from .pool import (
     DEFAULT_MAX_INFLIGHT,
     WorkerError,
@@ -95,9 +76,66 @@ from .pool import (
 from .shm import ChunkRef, SharedChunkRing
 from .supervisor import Supervisor, SupervisorPolicy, WorkerUnrecoverable
 
-__all__ = ["ParallelMultiStreamDetector"]
+__all__ = [
+    "ParallelMultiStreamDetector",
+    "RuntimeStats",
+    "latency_percentiles",
+]
 
 _FAULT_POLICIES = ("raise", "restart", "degrade")
+
+
+@dataclass(frozen=True)
+class RuntimeStats:
+    """One ``stats()`` snapshot of the runtime's health.
+
+    Latency fields are seconds of accumulated poll-interval wait per
+    worker command (granularity one poll interval, see
+    :mod:`repro.runtime.pool`); ``queue_depth`` is the current maximum
+    number of in-flight commands across workers.
+    """
+
+    backend: str
+    workers: int
+    latency_p50: float
+    latency_p99: float
+    queue_depth: int
+    max_inflight: int
+    total_restarts: int
+    degraded: bool
+
+    def describe(self) -> str:
+        """A stable one-line rendering for logs and the CLI."""
+        return (
+            f"backend={self.backend} workers={self.workers} "
+            f"p50={self.latency_p50:.3f}s p99={self.latency_p99:.3f}s "
+            f"queue={self.queue_depth}/{self.max_inflight} "
+            f"restarts={self.total_restarts} "
+            f"degraded={'yes' if self.degraded else 'no'}"
+        )
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "backend": self.backend,
+            "workers": self.workers,
+            "latency_p50": self.latency_p50,
+            "latency_p99": self.latency_p99,
+            "queue_depth": self.queue_depth,
+            "max_inflight": self.max_inflight,
+            "total_restarts": self.total_restarts,
+            "degraded": self.degraded,
+        }
+
+
+def latency_percentiles(samples: Iterable[float]) -> tuple[float, float]:
+    """(p50, p99) of the recorded latency samples; zeros when empty."""
+    arr = np.asarray(tuple(samples), dtype=np.float64)
+    if arr.size == 0:
+        return 0.0, 0.0
+    return (
+        float(np.percentile(arr, 50)),
+        float(np.percentile(arr, 99)),
+    )
 
 
 @dataclass(frozen=True)
@@ -109,6 +147,31 @@ class _StreamConfig:
     aggregate: str
     refine: bool
     backend: str = "auto"
+
+    def build_command(self, name: str) -> tuple[Any, ...]:
+        return (
+            "build",
+            name,
+            self.structure,
+            self.thresholds,
+            self.aggregate,
+            self.refine,
+            self.backend,
+        )
+
+    def restore_command(
+        self, name: str, carry: DetectorCarry
+    ) -> tuple[Any, ...]:
+        return (
+            "restore",
+            name,
+            self.structure,
+            self.thresholds,
+            self.aggregate,
+            self.refine,
+            self.backend,
+            carry,
+        )
 
     def from_carry(self, carry: DetectorCarry) -> ChunkedDetector:
         return ChunkedDetector.from_carry(
@@ -159,16 +222,6 @@ class ParallelMultiStreamDetector:
         self._round = 0
         self._degraded = False
         self._total_restarts = 0
-        # Overload/shedding state; populated by _configure_overload.
-        self._shedding = "none"
-        self._shed: ShedPlanner | None = None
-        self._fine_structures: dict[str, SATStructure] = {}
-        self._ingest_round = 0
-        # Structure swaps scheduled but not yet landed on an aligned
-        # stream position, and each stream's consumed length — the
-        # parent-side mirror of the worker's pending-swap arithmetic.
-        self._pending_swaps: dict[str, SATStructure] = {}
-        self._stream_positions: dict[str, int] = {n: 0 for n in names}
         # Telemetry frozen at close()/degrade so stats() outlives the pool.
         self._init_workers = pool.num_workers if pool is not None else 0
         self._max_inflight = (
@@ -188,8 +241,8 @@ class ParallelMultiStreamDetector:
             # Serial backend: nothing can crash, plans have no workers
             # to hit; the policy knob is accepted for call-site symmetry.
             return
-        # Kept for every policy: the coarsen_sat reshape path needs the
-        # per-stream build recipe even in fail-fast mode.
+        # Kept for every policy: refine_filter reads the recipe even in
+        # fail-fast mode.
         self._configs = configs
         if plan is not None:
             self._injector = FaultInjector(plan)
@@ -204,28 +257,6 @@ class ParallelMultiStreamDetector:
                 cfg.structure, aggregate_by_name(cfg.aggregate)
             )
             for name, cfg in configs.items()
-        }
-
-    def _configure_overload(
-        self, shedding: str, overload: OverloadConfig | None
-    ) -> None:
-        if shedding not in SHEDDING_POLICIES:
-            raise ValueError(
-                f"shedding must be one of {SHEDDING_POLICIES}, "
-                f"got {shedding!r}"
-            )
-        self._shedding = shedding
-        if self._pool is None:
-            # Serial backend: one process, no queues to overload; the
-            # knobs are accepted so call sites stay backend-agnostic.
-            return
-        if shedding == "none" and overload is None:
-            # No policy and no tuning requested: skip the per-round
-            # planner entirely so the default path pays nothing.
-            return
-        self._shed = ShedPlanner(shedding, overload)
-        self._fine_structures = {
-            name: cfg.structure for name, cfg in self._configs.items()
         }
 
     @staticmethod
@@ -254,8 +285,6 @@ class ParallelMultiStreamDetector:
         supervision: SupervisorPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         recv_timeout: float | None = None,
-        shedding: str = "none",
-        overload: OverloadConfig | None = None,
     ) -> "ParallelMultiStreamDetector":
         """Same structure and thresholds for every stream."""
         names = cls._check_names(names)
@@ -275,39 +304,16 @@ class ParallelMultiStreamDetector:
             )
             det = cls(names, None, None, {}, serial)
             det._faults = faults
-            det._configure_overload(shedding, overload)
             return det
+        config = _StreamConfig(
+            structure, thresholds, aggregate.name, refine_filter, backend
+        )
         pool = WorkerPool(n_workers, recv_timeout=recv_timeout)
         try:
             owners = {
                 name: i % n_workers for i, name in enumerate(names)
             }
-            # The pool's in-flight bound doubles as flow control here:
-            # unread acks can fill the ~64KB pipe buffer at portfolio
-            # scale, blocking the worker's send and therefore its
-            # request drain — a deadlock with the sending parent.
-            inflight = {w: 0 for w in range(n_workers)}
-            for name in names:
-                w = owners[name]
-                if inflight[w] >= pool.max_inflight:
-                    pool.recv(w)  # acks arrive in send order per worker
-                    inflight[w] -= 1
-                pool.send(
-                    w,
-                    (
-                        "build",
-                        name,
-                        structure,
-                        thresholds,
-                        aggregate.name,
-                        refine_filter,
-                        backend,
-                    ),
-                )
-                inflight[w] += 1
-            for w, pending in inflight.items():
-                for _ in range(pending):
-                    pool.recv(w)
+            _send_bounded(pool, owners, names, config.build_command)
         except Exception:
             pool.close()
             raise
@@ -316,18 +322,8 @@ class ParallelMultiStreamDetector:
             faults,
             supervision,
             fault_plan,
-            {
-                name: _StreamConfig(
-                    structure,
-                    thresholds,
-                    aggregate.name,
-                    refine_filter,
-                    backend,
-                )
-                for name in names
-            },
+            dict.fromkeys(names, config),
         )
-        det._configure_overload(shedding, overload)
         return det
 
     @classmethod
@@ -344,8 +340,6 @@ class ParallelMultiStreamDetector:
         supervision: SupervisorPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         recv_timeout: float | None = None,
-        shedding: str = "none",
-        overload: OverloadConfig | None = None,
     ) -> "ParallelMultiStreamDetector":
         """Resume a shared-structure fleet from per-stream carries.
 
@@ -354,9 +348,8 @@ class ParallelMultiStreamDetector:
         a recovered pool continues mid-stream with the exact engine
         tails and op counters the checkpoints hold.  The aggregate is
         taken from each carry (it was recorded at checkpoint time);
-        stream positions and supervision checkpoints start from the
-        carries, not zero, so swap alignment and a first-round worker
-        loss both see the resumed offsets.
+        supervision checkpoints start from the carries, not zero, so a
+        first-round worker loss sees the resumed offsets.
         """
         carries = dict(carries)
         names = cls._check_names(carries)
@@ -373,59 +366,35 @@ class ParallelMultiStreamDetector:
             )
             det = cls(names, None, None, {}, serial)
             det._faults = faults
-            det._configure_overload(shedding, overload)
             return det
+        configs = {
+            name: _StreamConfig(
+                structure,
+                thresholds,
+                carries[name].aggregate,
+                refine_filter,
+                backend,
+            )
+            for name in names
+        }
         pool = WorkerPool(n_workers, recv_timeout=recv_timeout)
         try:
             owners = {
                 name: i % n_workers for i, name in enumerate(names)
             }
-            inflight = {w: 0 for w in range(n_workers)}
-            for name in names:
-                w = owners[name]
-                if inflight[w] >= pool.max_inflight:
-                    pool.recv(w)
-                    inflight[w] -= 1
-                pool.send(
-                    w,
-                    (
-                        "restore",
-                        name,
-                        structure,
-                        thresholds,
-                        carries[name].aggregate,
-                        refine_filter,
-                        backend,
-                        carries[name],
-                    ),
-                )
-                inflight[w] += 1
-            for w, pending in inflight.items():
-                for _ in range(pending):
-                    pool.recv(w)
+            _send_bounded(
+                pool,
+                owners,
+                names,
+                lambda name: configs[name].restore_command(
+                    name, carries[name]
+                ),
+            )
         except Exception:
             pool.close()
             raise
         det = cls(names, pool, SharedChunkRing(checksum), owners, None)
-        det._configure_faults(
-            faults,
-            supervision,
-            fault_plan,
-            {
-                name: _StreamConfig(
-                    structure,
-                    thresholds,
-                    carries[name].aggregate,
-                    refine_filter,
-                    backend,
-                )
-                for name in names
-            },
-        )
-        det._configure_overload(shedding, overload)
-        det._stream_positions = {
-            name: int(carries[name].length) for name in names
-        }
+        det._configure_faults(faults, supervision, fault_plan, configs)
         if det._supervisor is not None:
             det._checkpoints = dict(carries)
         return det
@@ -446,8 +415,6 @@ class ParallelMultiStreamDetector:
         supervision: SupervisorPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         recv_timeout: float | None = None,
-        shedding: str = "none",
-        overload: OverloadConfig | None = None,
     ) -> "ParallelMultiStreamDetector":
         """Fit thresholds and adapt a structure to each stream, in parallel.
 
@@ -472,7 +439,6 @@ class ParallelMultiStreamDetector:
             )
             det = cls(names, None, None, {}, serial)
             det._faults = faults
-            det._configure_overload(shedding, overload)
             return det
         sizes = tuple(int(w) for w in window_sizes)
         pool = WorkerPool(n_workers, recv_timeout=recv_timeout)
@@ -483,42 +449,31 @@ class ParallelMultiStreamDetector:
             structures: dict[str, SATStructure] = {}
             fitted: dict[str, ThresholdModel] = {}
 
-            def drain_one(w: int) -> None:
-                _, got_name, structure, fitted_thresholds = pool.recv(w)
+            def train(name: str) -> tuple[Any, ...]:
+                refs[name] = ring.put(
+                    np.asarray(training[name], dtype=np.float64)
+                )
+                return (
+                    "train",
+                    name,
+                    refs[name],
+                    float(burst_probability),
+                    sizes,
+                    search_params,
+                    aggregate.name,
+                    refine_filter,
+                    backend,
+                )
+
+            def trained(reply: tuple[Any, ...]) -> None:
+                _, got_name, structure, fitted_thresholds = reply
                 structures[got_name] = structure
                 fitted[got_name] = fitted_thresholds
                 ring.release(refs[got_name])
 
-            # Interleave sends with receives: the in-flight bound keeps
-            # reply pipes from filling AND caps ring memory at
+            # The in-flight bound also caps ring memory at
             # workers * max_inflight live training arrays.
-            inflight = {w: 0 for w in range(n_workers)}
-            for name in names:
-                w = owners[name]
-                if inflight[w] >= pool.max_inflight:
-                    drain_one(w)
-                    inflight[w] -= 1
-                refs[name] = ring.put(
-                    np.asarray(training[name], dtype=np.float64)
-                )
-                pool.send(
-                    w,
-                    (
-                        "train",
-                        name,
-                        refs[name],
-                        float(burst_probability),
-                        sizes,
-                        search_params,
-                        aggregate.name,
-                        refine_filter,
-                        backend,
-                    ),
-                )
-                inflight[w] += 1
-            for w, pending in inflight.items():
-                for _ in range(pending):
-                    drain_one(w)
+            _send_bounded(pool, owners, names, train, trained)
         except Exception:
             # Release shared memory before joining workers: unlinking is
             # cheap and cannot block, whereas a dead worker's join can be
@@ -544,7 +499,6 @@ class ParallelMultiStreamDetector:
                 for name in names
             },
         )
-        det._configure_overload(shedding, overload)
         return det
 
     @staticmethod
@@ -596,15 +550,6 @@ class ParallelMultiStreamDetector:
             return self._supervisor.total_restarts
         return self._total_restarts
 
-    @property
-    def shedding(self) -> str:
-        """The shedding policy this detector was built with."""
-        return self._shedding
-
-    def shedding_report(self) -> SheddingReport | None:
-        """The accountable-shedding ledger (``None`` without a planner)."""
-        return self._shed.report if self._shed is not None else None
-
     def stats(self) -> RuntimeStats:
         """A point-in-time snapshot of the runtime's health.
 
@@ -620,8 +565,6 @@ class ParallelMultiStreamDetector:
             samples = self._final_latency
             depth = 0
         p50, p99 = latency_percentiles(samples)
-        det = self._shed.detector if self._shed is not None else None
-        rep = self._shed.report if self._shed is not None else None
         return RuntimeStats(
             backend="parallel" if self._init_workers else "serial",
             workers=self._init_workers,
@@ -629,18 +572,6 @@ class ParallelMultiStreamDetector:
             latency_p99=p99,
             queue_depth=depth,
             max_inflight=self._max_inflight,
-            overloaded=det.overloaded if det is not None else False,
-            overloaded_rounds=(
-                det.overloaded_rounds if det is not None else 0
-            ),
-            transitions=det.transitions if det is not None else 0,
-            shedding=self._shedding,
-            shed_actions=len(rep.actions) if rep is not None else 0,
-            dropped_points=rep.dropped_points if rep is not None else 0,
-            deferred_points=rep.deferred_points if rep is not None else 0,
-            coarsened_streams=(
-                rep.coarsened_streams if rep is not None else 0
-            ),
             total_restarts=self.total_restarts,
             degraded=self._degraded,
         )
@@ -682,13 +613,9 @@ class ParallelMultiStreamDetector:
 
         The durable layer's snapshot hook.  Only meaningful at a round
         boundary — between :meth:`process` calls — where no chunk is in
-        flight and each pending coarsen swap either already landed (the
-        worker's detector and the parent's config record moved together,
-        see :meth:`_absorb_round_reply`) or has not started; the carry
-        itself is structure-agnostic either way.  On a supervised pool a
-        worker lost during the exchange is restored from its last
-        acknowledged checkpoint first, so the gathered carries still
-        describe one consistent boundary.
+        flight.  On a supervised pool a worker lost during the exchange
+        is restored from its last acknowledged checkpoint first, so the
+        gathered carries still describe one consistent boundary.
         """
         if self._serial is not None:
             return self._serial.checkpoints()
@@ -809,71 +736,28 @@ class ParallelMultiStreamDetector:
         resend; restores *all* streams the worker owns — the process
         lost everything — to their state at the last acknowledged round.
         """
-        deadline = self._policy.deadline if self._policy else None
-        names = [n for n in self._names if self._owners[n] == worker]
-        inflight = 0
-        for name in names:
-            if inflight >= self._pool.max_inflight:
-                self._pool.recv(worker, deadline)
-                inflight -= 1
-            cfg = self._configs[name]
-            self._pool.send(
-                worker,
-                (
-                    "restore",
-                    name,
-                    cfg.structure,
-                    cfg.thresholds,
-                    cfg.aggregate,
-                    cfg.refine,
-                    cfg.backend,
-                    self._checkpoints[name],
-                ),
-            )
-            inflight += 1
-        for _ in range(inflight):
-            self._pool.recv(worker, deadline)
-        # The fresh process lost any scheduled structure swaps along
-        # with everything else; re-send the ones still pending so it
-        # applies them at the same aligned positions the old worker
-        # (and the parent's prediction) would have.
-        swaps = [
-            (n, self._pending_swaps[n])
-            for n in names
-            if n in self._pending_swaps
-        ]
-        if swaps:
-            self._pool.send(worker, ("reshape", swaps))
-            self._pool.recv(worker, deadline)
+        _send_bounded(
+            self._pool,
+            self._owners,
+            [n for n in self._names if self._owners[n] == worker],
+            lambda name: self._configs[name].restore_command(
+                name, self._checkpoints[name]
+            ),
+            deadline=self._policy.deadline if self._policy else None,
+        )
 
     def _absorb_round_reply(
         self,
         reply: tuple[Any, ...],
         found: dict[str, list[Burst]],
-        applied_swaps: set[str] | None = None,
     ) -> None:
         """Fold one worker's ``("bursts", ...)`` reply into the round's
-        results and advance its streams' checkpoints.
-
-        A dispatch round may carry several chunks for one stream (a
-        widen flush), so bursts accumulate per name.  Streams whose
-        pending structure swap was predicted to land this round get
-        their config record updated here, in the same step that
-        advances their checkpoint: a checkpoint carry and the structure
-        it was taken under must never go out of sync, or a later
-        restore/degrade rebuild would replay under the wrong grid.
-        """
+        results and advance its streams' checkpoints."""
         _, pairs, carries = reply
         for name, bursts in pairs:
-            found.setdefault(name, []).extend(bursts)
+            found[name] = bursts
         if carries:
-            for name, carry in carries.items():
-                self._checkpoints[name] = carry
-                if applied_swaps and name in applied_swaps:
-                    self._configs[name] = replace(
-                        self._configs[name],
-                        structure=self._pending_swaps.pop(name),
-                    )
+            self._checkpoints.update(carries)
 
     def _degrade_to_serial(
         self,
@@ -886,7 +770,7 @@ class ParallelMultiStreamDetector:
         Every stream's detector is rebuilt from its checkpoint (the
         state at its last acknowledged round); for workers in ``failed``
         the current round's retained chunks in ``replay`` are then
-        re-processed locally, with any bursts appended to ``found``.
+        re-processed locally, with their bursts recorded in ``found``.
         The pool and ring are torn down; from here on every call
         delegates to the serial backend, byte-identical to a run that
         was serial from the start.
@@ -900,11 +784,7 @@ class ParallelMultiStreamDetector:
                 for name, arr in replay.get(w, []):
                     bursts = detectors[name].process(arr)
                     if found is not None:
-                        found.setdefault(name, []).extend(bursts)
-        # Swaps still pending die with the workers: the serial rebuild
-        # keeps each stream on the structure its checkpoint was taken
-        # under, which is always exact.
-        self._pending_swaps.clear()
+                        found[name] = bursts
         self._serial = MultiStreamDetector(detectors)
         self._degraded = True
         if self._supervisor is not None:
@@ -923,136 +803,14 @@ class ParallelMultiStreamDetector:
             if pool is not None:
                 pool.close()
 
-    # -- overload / shedding ------------------------------------------------
-    def _plan_round(
-        self, chunks: Mapping[str, np.ndarray]
-    ) -> dict[str, list[np.ndarray]]:
-        """Run the shed planner for one ingest round.
-
-        Returns the chunk lists to dispatch now — possibly empty
-        (deferred), possibly several chunks per stream (a widen flush)
-        — and schedules any structure swap the ``coarsen_sat`` policy
-        decided.  Under ``faults="degrade"`` a swap whose delivery
-        exhausts the recovery budget folds the run back to serial
-        mid-plan; the caller then dispatches the round serially.
-        """
-        assert self._shed is not None
-        r = self._ingest_round
-        self._ingest_round += 1
-        # Only structures with intermediate levels have anything to
-        # coarsen; single-level streams are skipped (and not reported).
-        deep = [
-            n
-            for n in self._names
-            if self._fine_structures[n].num_levels > 1
-        ]
-        if self._shed.restore_now(r, deep):
-            self._reshape({n: self._fine_structures[n] for n in deep})
-        elif self._shed.coarsen_now(r, deep):
-            self._reshape(
-                {
-                    n: coarsen_structure(self._fine_structures[n])
-                    for n in deep
-                }
-            )
-        if self._serial is not None:
-            # The swap delivery degraded the run mid-plan.
-            return {}
-        return self._shed.shed_round(r, chunks)
-
-    def _reshape(self, structures: dict[str, SATStructure]) -> None:
-        """Schedule structure hot-swaps at the next aligned position.
-
-        A carry/from_carry handover is burst-exact only at stream
-        positions divisible by every level shift of both structures
-        (node grids are global — see
-        :func:`~repro.runtime.overload.swap_alignment`), so a swap is
-        never applied immediately: each worker lands its streams' swaps
-        at the first aligned offset inside a future chunk, and the
-        parent predicts the same rule (:meth:`_predict_swaps`) so the
-        per-stream config record — what restores and degrade fold-backs
-        rebuild from — flips to the new structure in the same absorb
-        step as the first checkpoint taken under it.
-        """
-        if not structures:
-            return
-        per_worker: dict[int, list[tuple[str, SATStructure]]] = {}
-        for name, structure in structures.items():
-            self._pending_swaps[name] = structure
-            per_worker.setdefault(self._owners[name], []).append(
-                (name, structure)
-            )
-        if self._supervisor is not None:
-            builders = {
-                w: _reshape_command(swaps)
-                for w, swaps in per_worker.items()
-            }
-            try:
-                self._supervisor.exchange(builders)
-            except WorkerUnrecoverable:
-                if self._faults != "degrade":
-                    self.close()
-                    raise
-                # Checkpoints sit at the last acknowledged round
-                # boundary and carries are structure-agnostic, so the
-                # fold-back needs no replay here.
-                self._degrade_to_serial()
-            except Exception:
-                self.close()
-                raise
-            return
-        try:
-            for w in sorted(per_worker):
-                self._pool.send(w, ("reshape", per_worker[w]))
-            for w in sorted(per_worker):
-                self._pool.recv(w)
-        except Exception:
-            self.close()
-            raise
-
-    def _predict_swaps(
-        self, segments: dict[str, list[np.ndarray]]
-    ) -> set[str]:
-        """Which pending structure swaps will land during this round.
-
-        Mirrors the worker's per-chunk rule: a swap lands iff an
-        aligned stream position falls within the round's chunks for
-        that stream.  (The worker checks chunk by chunk, but one
-        round's chunks are contiguous, so testing the round total is
-        equivalent.)  A swap back to the structure a stream already
-        runs is a no-op that just clears the schedule on both sides.
-        """
-        applied: set[str] = set()
-        for name, target in self._pending_swaps.items():
-            parts = segments.get(name)
-            if not parts:
-                continue
-            current = self._configs[name].structure
-            if target == current:
-                applied.add(name)
-                continue
-            total = sum(int(p.size) for p in parts)
-            align = swap_alignment(current, target)
-            position = self._stream_positions[name]
-            if swap_split(position, total, align) is not None:
-                applied.add(name)
-        return applied
-
-    def _advance_positions(
-        self, segments: dict[str, list[np.ndarray]]
-    ) -> None:
-        for name, parts in segments.items():
-            self._stream_positions[name] += sum(int(p.size) for p in parts)
-
     def _process_supervised(
-        self, chunks: Mapping[str, np.ndarray | list[np.ndarray]]
+        self, chunks: Mapping[str, np.ndarray]
     ) -> dict[str, list[Burst]]:
-        segments = _segments_of(chunks)
-        applied = self._predict_swaps(segments)
         per_worker: dict[int, list[tuple[str, np.ndarray]]] = {}
-        for name, parts in segments.items():
-            per_worker.setdefault(self._owners[name], []).extend(
-                (name, arr) for arr in parts
+        for name, chunk in chunks.items():
+            arr = np.ascontiguousarray(chunk, dtype=np.float64)
+            per_worker.setdefault(self._owners[name], []).append(
+                (name, arr)
             )
         round_index = self._round
         self._round += 1
@@ -1097,15 +855,14 @@ class ParallelMultiStreamDetector:
                 self.close()
                 raise
             for w in sorted(exc.partial):
-                self._absorb_round_reply(exc.partial[w], found, applied)
+                self._absorb_round_reply(exc.partial[w], found)
             self._degrade_to_serial(per_worker, exc.failed, found)
             return {name: found[name] for name in chunks}
         except Exception:
             self.close()
             raise
         for w in sorted(replies):
-            self._absorb_round_reply(replies[w], found, applied)
-        self._advance_positions(segments)
+            self._absorb_round_reply(replies[w], found)
         for refs in live_refs.values():
             for ref in refs:
                 self._ring.release(ref)
@@ -1154,11 +911,6 @@ class ParallelMultiStreamDetector:
         Chunks are copied once into shared-memory slots; workers map the
         same pages, so no stream data crosses a pipe.  Streams absent
         from ``chunks`` receive nothing this round.
-
-        With a shed planner active the dispatched set may differ from
-        ``chunks``: a deferred round returns no bursts yet, a widen
-        flush may return bursts for streams beyond this round's input.
-        Every key in ``chunks`` is always present in the result.
         """
         if self._finished:
             raise RuntimeError("detector already finished; create a new one")
@@ -1167,41 +919,14 @@ class ParallelMultiStreamDetector:
         unknown = set(chunks) - set(self._owners)
         if unknown:
             raise KeyError(f"unknown streams: {sorted(unknown)}")
-        dispatch: Mapping[str, np.ndarray | list[np.ndarray]] = chunks
-        if self._shed is not None:
-            plan = self._plan_round(chunks)
-            if self._serial is not None:
-                # A structure-swap delivery degraded the run mid-plan.
-                return self._collect(chunks, self._serial.process(chunks))
-            if not plan:
-                return {name: [] for name in chunks}
-            dispatch = plan
         if self._supervisor is not None:
-            found = self._process_supervised(dispatch)
-        else:
-            found = self._process_raw(dispatch)
-        if self._shed is not None and self._pool is not None:
-            # One latency sample per dispatched round: the worst reply
-            # wait the pool saw since the previous drain.
-            self._shed.observe(self._pool.drain_wait_max())
-        return self._collect(chunks, found)
-
-    @staticmethod
-    def _collect(
-        chunks: Mapping[str, np.ndarray],
-        found: Mapping[str, list[Burst]],
-    ) -> dict[str, list[Burst]]:
-        """Found bursts keyed so every input stream is present."""
-        out: dict[str, list[Burst]] = {name: [] for name in chunks}
-        out.update(found)
-        return out
+            return self._process_supervised(chunks)
+        return self._process_raw(chunks)
 
     def _process_raw(
-        self, chunks: Mapping[str, np.ndarray | list[np.ndarray]]
+        self, chunks: Mapping[str, np.ndarray]
     ) -> dict[str, list[Burst]]:
         """The fail-fast dispatch path (no supervisor)."""
-        segments = _segments_of(chunks)
-        applied = self._predict_swaps(segments)
         round_index = self._round
         self._round += 1
         per_worker: dict[int, list[tuple[str, ChunkRef]]] = {}
@@ -1212,15 +937,14 @@ class ParallelMultiStreamDetector:
                 if self._injector is not None
                 else set()
             )
-            for name, parts in segments.items():
-                for chunk in parts:
-                    ref = self._ring.put(chunk)
-                    if name in corrupt:
-                        corrupt_chunk(ref)
-                    refs.append(ref)
-                    per_worker.setdefault(self._owners[name], []).append(
-                        (name, ref)
-                    )
+            for name, chunk in chunks.items():
+                ref = self._ring.put(chunk)
+                if name in corrupt:
+                    corrupt_chunk(ref)
+                refs.append(ref)
+                per_worker.setdefault(self._owners[name], []).append(
+                    (name, ref)
+                )
             for w in sorted(per_worker):
                 directive = (
                     self._injector.worker_directive(round_index, w)
@@ -1240,49 +964,27 @@ class ParallelMultiStreamDetector:
                         f"worker {w} rejected a corrupt chunk: {reply[1]}"
                     )
                 for name, bursts in reply[1]:
-                    found.setdefault(name, []).extend(bursts)
+                    found[name] = bursts
         except Exception:
             self.close()
             raise
-        self._advance_positions(segments)
-        for name in applied:
-            self._configs[name] = replace(
-                self._configs[name],
-                structure=self._pending_swaps.pop(name),
-            )
         for ref in refs:
             self._ring.release(ref)
         return {name: found[name] for name in chunks}
 
     def finish(self) -> dict[str, list[Burst]]:
-        """Flush every stream, collect counters, and shut the pool down.
-
-        Any chunks still buffered by the ``widen_chunks`` policy are
-        dispatched first (one final flush round), so shedding by
-        deferral never loses data.
-        """
+        """Flush every stream, collect counters, and shut the pool down."""
         if self._finished:
             raise RuntimeError("finish() already called")
-        backlog_found: dict[str, list[Burst]] = {}
-        if self._shed is not None and self._serial is None:
-            backlog = self._shed.drain_for_finish(self._ingest_round)
-            if backlog:
-                self._ingest_round += 1
-                if self._supervisor is not None:
-                    backlog_found = self._process_supervised(backlog)
-                else:
-                    backlog_found = self._process_raw(backlog)
         self._finished = True
         if self._serial is not None:
-            return self._prepend(backlog_found, self._serial.finish())
+            return self._serial.finish()
         if self._supervisor is not None:
             try:
                 tails = self._finish_supervised()
             finally:
                 self.close()
-            return self._prepend(
-                backlog_found, {name: tails[name] for name in self._names}
-            )
+            return {name: tails[name] for name in self._names}
         tails = {}
         counters: dict[str, OpCounters] = {}
         try:
@@ -1295,22 +997,7 @@ class ParallelMultiStreamDetector:
         finally:
             self.close()
         self._counters = counters
-        return self._prepend(
-            backlog_found, {name: tails[name] for name in self._names}
-        )
-
-    @staticmethod
-    def _prepend(
-        extra: dict[str, list[Burst]],
-        tails: dict[str, list[Burst]],
-    ) -> dict[str, list[Burst]]:
-        """Backlog-flush bursts precede the finish tails, in order."""
-        if not extra:
-            return tails
-        out = dict(tails)
-        for name, bursts in extra.items():
-            out[name] = bursts + out.get(name, [])
-        return out
+        return {name: tails[name] for name in self._names}
 
     def detect(
         self,
@@ -1372,36 +1059,39 @@ class ParallelMultiStreamDetector:
         self.close()
 
 
-def _segments_of(
-    chunks: Mapping[str, np.ndarray | list[np.ndarray]],
-) -> dict[str, list[np.ndarray]]:
-    """Normalise a dispatch mapping to ordered chunk lists per stream.
+def _send_bounded(
+    pool: WorkerPool,
+    owners: Mapping[str, int],
+    names: Iterable[str],
+    message: Callable[[str], tuple[Any, ...]],
+    on_reply: Callable[[tuple[Any, ...]], None] = lambda reply: None,
+    deadline: float | None = None,
+) -> None:
+    """Send ``message(name)`` to each stream's owner under the in-flight
+    bound, handing every reply to ``on_reply``.
 
-    The shed planner may batch several deferred chunks for one stream
-    into a single dispatch round (a widen flush); the plain path ships
-    one chunk per stream.  Workers process a stream's chunks in list
-    order, so batching preserves exact burst order.
+    Unread replies can fill the ~64KB pipe buffer at portfolio scale,
+    blocking the worker's send and therefore its request drain — a
+    deadlock with the sending parent.  So a worker at ``max_inflight``
+    first yields its oldest reply (replies arrive in send order per
+    worker); the rest are drained in worker order at the end.  Each
+    message is built after that drain, just before its send.
     """
-    out: dict[str, list[np.ndarray]] = {}
-    for name, value in chunks.items():
-        parts = value if isinstance(value, list) else [value]
-        out[name] = [
-            np.ascontiguousarray(part, dtype=np.float64) for part in parts
-        ]
-    return out
+    inflight: dict[int, int] = {}
+    for name in names:
+        w = owners[name]
+        if inflight.get(w, 0) >= pool.max_inflight:
+            on_reply(pool.recv(w, deadline))
+            inflight[w] -= 1
+        pool.send(w, message(name))
+        inflight[w] = inflight.get(w, 0) + 1
+    for w in sorted(inflight):
+        for _ in range(inflight[w]):
+            on_reply(pool.recv(w, deadline))
 
 
 def _finish_command() -> tuple[Any, ...]:
     return ("finish",)
-
-
-def _reshape_command(
-    swaps: list[tuple[str, SATStructure]],
-) -> Callable[[], tuple[Any, ...]]:
-    def build() -> tuple[Any, ...]:
-        return ("reshape", swaps)
-
-    return build
 
 
 def _counters_command() -> tuple[Any, ...]:

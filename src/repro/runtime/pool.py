@@ -111,9 +111,8 @@ def _recv_with_deadline(
     caller.
 
     Returns ``(reply, waited)`` where ``waited`` is the accumulated poll
-    time in seconds — the clock-free latency sample the overload layer
-    feeds on (granularity one poll interval; an immediate reply reads as
-    0.0).
+    time in seconds — the clock-free latency sample ``stats()`` reports
+    (granularity one poll interval; an immediate reply reads as 0.0).
     """
     waited = 0.0
     while not conn.poll(_POLL_INTERVAL):
@@ -151,9 +150,9 @@ class WorkerPool:
     :meth:`send` refuses to queue past the bound, so a producer that
     outruns its workers hits explicit backpressure instead of growing
     the pipe buffer without limit.  The pool also keeps clock-free
-    telemetry — per-worker in-flight depth, a window of recent reply
-    waits, and a drainable per-round maximum wait — which the overload
-    layer turns into latency percentiles and overload decisions.
+    telemetry — per-worker in-flight depth and a window of recent reply
+    waits — which ``stats()`` turns into queue depth and latency
+    percentiles.
     """
 
     def __init__(
@@ -176,7 +175,6 @@ class WorkerPool:
         self._conns: list[Connection] = []
         self._inflight: list[int] = [0] * n_workers
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._wait_max = 0.0
         self._closed = False
         try:
             for i in range(n_workers):
@@ -225,16 +223,6 @@ class WorkerPool:
         """Recent reply waits (seconds), oldest first, bounded window."""
         return tuple(self._latencies)
 
-    def drain_wait_max(self) -> float:
-        """Largest reply wait since the last drain; resets to zero.
-
-        The overload controller calls this once per round, turning the
-        pool's per-command waits into one round-level latency sample.
-        """
-        peak = self._wait_max
-        self._wait_max = 0.0
-        return peak
-
     # -- messaging ---------------------------------------------------------
     def send(self, worker: int, message: tuple[Any, ...]) -> None:
         if self._closed:
@@ -278,8 +266,6 @@ class WorkerPool:
         # restart() resets it with the worker's state.
         self._inflight[worker] = max(0, self._inflight[worker] - 1)
         self._latencies.append(waited)
-        if waited > self._wait_max:
-            self._wait_max = waited
         if reply and reply[0] == "error":
             _, err, tb = reply
             raise WorkerError(

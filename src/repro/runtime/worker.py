@@ -30,27 +30,12 @@ Protocol (request -> reply):
   resends.  ``fault`` is a fault-injection directive
   (:mod:`repro.runtime.faults`) executed before the command, used only by
   the deterministic chaos harness.
-* ``("reshape", [(name, structure), ...])`` -> ``("reshaped", n)`` —
-  schedule a hot-swap of each named stream's SAT structure (the
-  overload layer's ``coarsen_sat`` policy and its restore path).  The
-  swap is *pending*, not immediate: node grids are global, so the
-  carry/from_carry handover is burst-exact only at stream positions
-  divisible by every level shift of both structures
-  (:func:`~repro.runtime.overload.swap_alignment`).  The worker applies
-  it at the first aligned offset inside a subsequent chunk, splitting
-  that chunk around the swap point; the parent mirrors the same rule to
-  know which structure each checkpoint was taken under.  The carry is
-  structure-independent and the swap preserves the engine history
-  requirement, so detection continues without losing tail state; op
-  counters keep their original depth.  All names are scheduled in one
-  command so a supervised exchange covers the whole shard atomically.
 * ``("finish",)`` -> ``("finished", [(name, bursts)], {name: counters})``
 * ``("counters",)`` -> ``("counters", {name: counters})``
 * ``("carry",)`` -> ``("carry", {name: DetectorCarry})`` — a checkpoint
   of every stream this worker owns, taken between rounds.  The durable
   layer's snapshot hook: meaningful only at a round boundary, where no
-  chunk is in flight and every pending structure swap either landed (and
-  the parent's config record moved with it) or is still wholly pending.
+  chunk is in flight.
 * ``("stop",)`` -> worker exits (no reply)
 
 Any other exception inside a command is answered with ``("error", repr,
@@ -67,15 +52,10 @@ import traceback
 from multiprocessing.connection import Connection
 from typing import Any
 
-import numpy as np
-
 from ..core.aggregates import aggregate_by_name
 from ..core.chunked import ChunkedDetector, DetectorCarry
-from ..core.events import Burst
 from ..core.search import train_structure
-from ..core.structure import SATStructure
 from ..core.thresholds import NormalThresholds
-from .overload import swap_alignment, swap_split
 from .shm import ChunkCorruption, ChunkReader
 
 __all__ = ["worker_main"]
@@ -119,7 +99,6 @@ def worker_main(conn: Connection, worker_id: int) -> None:
     """Run the worker loop until a ``stop`` command or EOF."""
     reader = ChunkReader()
     detectors: dict[str, ChunkedDetector] = {}
-    pending: dict[str, SATStructure] = {}
     try:
         while True:
             try:
@@ -137,7 +116,7 @@ def worker_main(conn: Connection, worker_id: int) -> None:
             if fault is not None:
                 _inject_fault(fault)
             try:
-                reply = _dispatch(cmd, msg, detectors, pending, reader)
+                reply = _dispatch(cmd, msg, detectors, reader)
             except ChunkCorruption as exc:
                 # No detector advanced (refs are validated up front):
                 # tell the parent so it can rewrite the slots and resend
@@ -156,55 +135,10 @@ def worker_main(conn: Connection, worker_id: int) -> None:
         conn.close()
 
 
-def _process_stream(
-    name: str,
-    chunk: np.ndarray,
-    detectors: dict[str, ChunkedDetector],
-    pending: dict[str, SATStructure],
-) -> list[Burst]:
-    """Advance one stream by one chunk, applying any pending swap.
-
-    A scheduled structure swap lands at the first stream position
-    divisible by the alignment of the two structures; the chunk is
-    split there so the prefix runs under the old structure and the
-    suffix under the new one.  When no aligned position falls inside
-    this chunk the swap stays pending.  The parent predicts this rule
-    with the same arithmetic, so its per-stream config records track
-    exactly which structure each checkpoint carry was taken under.
-    """
-    det = detectors[name]
-    target = pending.get(name)
-    if target is None:
-        return det.process(chunk)
-    if target == det.structure:
-        # Coarsen scheduled, then restore scheduled before it ever
-        # landed: the net swap is a no-op.
-        del pending[name]
-        return det.process(chunk)
-    align = swap_alignment(det.structure, target)
-    split = swap_split(det.length, int(chunk.size), align)
-    if split is None:
-        return det.process(chunk)
-    bursts = det.process(chunk[:split]) if split else []
-    det = ChunkedDetector.from_carry(
-        target,
-        det.thresholds,
-        det.carry(),
-        refine_filter=det.refine_filter,
-        backend=det.backend,
-    )
-    detectors[name] = det
-    del pending[name]
-    if split < chunk.size:
-        bursts.extend(det.process(chunk[split:]))
-    return bursts
-
-
 def _dispatch(
     cmd: str,
     msg: tuple[Any, ...],
     detectors: dict[str, ChunkedDetector],
-    pending: dict[str, SATStructure],
     reader: ChunkReader,
 ) -> tuple[Any, ...]:
     if cmd == "build":
@@ -231,9 +165,6 @@ def _dispatch(
         detectors[name] = ChunkedDetector.from_carry(
             structure, thresholds, carry, refine_filter=refine, backend=backend
         )
-        # A restore supersedes any swap scheduled for the old detector;
-        # the parent re-sends still-pending swaps after re-priming.
-        pending.pop(name, None)
         return ("restored", name)
     if cmd == "train":
         (
@@ -267,22 +198,12 @@ def _dispatch(
         # detector: a corrupt slot must not leave a shard half-advanced.
         views = [(name, reader.view(ref)) for name, ref in work]
         results = [
-            (name, _process_stream(name, chunk, detectors, pending))
-            for name, chunk in views
+            (name, detectors[name].process(chunk)) for name, chunk in views
         ]
         carries: dict[str, DetectorCarry] | None = None
         if want_carry:
             carries = {name: detectors[name].carry() for name, _ in work}
         return ("bursts", results, carries)
-    if cmd == "reshape":
-        _, swaps = msg
-        for name, structure in swaps:
-            # Scheduled, not applied: the carry/from_carry handover is
-            # exact only at aligned stream positions, so the swap waits
-            # for the first aligned offset in a future chunk (see
-            # _process_stream).  A newer schedule replaces an older one.
-            pending[name] = structure
-        return ("reshaped", len(swaps))
     if cmd == "finish":
         _, = msg
         tails = [

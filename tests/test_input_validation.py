@@ -11,10 +11,13 @@ entry point.
 import numpy as np
 import pytest
 
+from repro.core.adaptive import AdaptiveDetector
 from repro.core.chunked import ChunkedDetector
 from repro.core.detector import StreamingDetector
+from repro.core.multi import MultiStreamDetector
 from repro.core.sbt import shifted_binary_tree
-from repro.core.thresholds import FixedThresholds
+from repro.core.thresholds import FixedThresholds, NormalThresholds, all_sizes
+from repro.runtime import ParallelMultiStreamDetector
 from repro.spatial import (
     SpatialDetector,
     SummedAreaTable,
@@ -63,6 +66,45 @@ class TestStreamValidation:
         # The bad chunk was rejected before ingestion: continuing works.
         d.process(np.ones(8))
         d.finish()
+
+
+class TestChunkSizeValidation:
+    """A non-positive chunk size must raise, not quietly feed nothing."""
+
+    ENTRY_POINTS = {
+        "chunked": lambda st, th, train, data: (
+            ChunkedDetector(st, th),
+            data,
+        ),
+        "multi": lambda st, th, train, data: (
+            MultiStreamDetector.shared(["s"], st, th),
+            {"s": data},
+        ),
+        "parallel": lambda st, th, train, data: (
+            ParallelMultiStreamDetector.shared(
+                ["s"], st, th, workers="serial"
+            ),
+            {"s": data},
+        ),
+        "adaptive": lambda st, th, train, data: (
+            AdaptiveDetector(th, train),
+            data,
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_detect_rejects_chunk_size_below_one(
+        self, rng, entry, chunk_size
+    ):
+        train = rng.poisson(5.0, 600).astype(float)
+        thresholds = NormalThresholds.from_data(train, 1e-3, all_sizes(8))
+        data = rng.poisson(5.0, 3000).astype(float)
+        det, arg = self.ENTRY_POINTS[entry](
+            shifted_binary_tree(8), thresholds, train, data
+        )
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            det.detect(arg, chunk_size=chunk_size)
 
 
 class TestSpatialValidation:

@@ -60,7 +60,6 @@ def expected_lines(path: Path, code: str) -> list[int]:
         ("core/rl006_bad.py", "RL006"),
         ("ingest/rl006_bad.py", "RL006"),
         ("runtime/rl007_bad.py", "RL007"),
-        ("runtime/rl008_bad.py", "RL008"),
         ("core/kernel/rl009_bad.py", "RL009"),
         ("core/rl012_bad.py", "RL012"),
         ("ingest/rl012_bad.py", "RL012"),
@@ -90,7 +89,6 @@ def test_rl001_distinguishes_ownership_gaps():
     [
         "runtime/rl001_ok.py",
         "runtime/rl007_ok.py",
-        "runtime/rl008_ok.py",
         "core/kernel/rl009_ok.py",
         "core/rl012_ok.py",
         "durable/rl013_ok.py",

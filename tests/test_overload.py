@@ -1,14 +1,10 @@
-"""Overload-layer tests: hysteresis, accountable shedding, stats, CLI.
+"""Runtime health tests: latency percentiles, stats(), the CLI stats line.
 
-Two kinds of guarantees are under test.  The *unit* half proves the
-no-thrash properties of :class:`OverloadDetector` on synthetic latency
-sequences (pure arithmetic — no sleeping, no workers).  The
-*differential* half injects deterministic ``delay`` faults into a real
-worker pool and checks each shedding policy's contract against an
-undisturbed serial run: ``none`` and ``widen_chunks`` byte-identical
-(bursts *and* counters), ``sample_streams`` accountable to the point
-(level-0 updates reconcile exactly against the report's drop ledger),
-``coarsen_sat`` burst-identical with every swap on the books.
+:meth:`ParallelMultiStreamDetector.stats` reports what the worker pool
+already measures — reply-wait percentiles, queue depth, restarts and
+degradation.  The parallel half injects deterministic ``delay`` faults
+into a real worker pool so the latency samples are non-zero, and checks
+that the snapshot stays valid after the pool is gone (close, degrade).
 """
 
 import numpy as np
@@ -21,37 +17,17 @@ from repro.core.thresholds import NormalThresholds, all_sizes
 from repro.runtime import (
     Fault,
     FaultPlan,
-    OverloadConfig,
-    OverloadDetector,
     ParallelMultiStreamDetector,
-    SheddingReport,
-    SupervisorPolicy,
-    coarsen_structure,
-)
-from repro.runtime.overload import (
-    SHEDDING_POLICIES,
     RuntimeStats,
-    ShedAction,
-    ShedPlanner,
-    latency_percentiles,
+    SupervisorPolicy,
 )
+from repro.runtime.parallel import latency_percentiles
 
 from test_runtime_faults import (
     CHUNK,
     FAST,
     assert_counters_equal,
     needs_dev_shm,
-)
-
-#: Trips on the first delayed round and recovers within a round or two:
-#: the injected 0.25s straggler waits are measured in >= 0.1s poll
-#: increments, an order of magnitude above `enter`, while undisturbed
-#: rounds observe ~0 and pull the aggressive EMA straight back down.
-AGGRESSIVE = OverloadConfig(
-    enter_latency=0.05,
-    exit_latency=0.045,
-    ema_alpha=0.9,
-    min_dwell_rounds=1,
 )
 
 DELAY_EARLY = FaultPlan(
@@ -86,170 +62,6 @@ def expected(streams, setup):
     return serial.detect(streams, chunk_size=CHUNK), serial
 
 
-def run_shedding(
-    streams,
-    setup,
-    shedding,
-    plan=DELAY_EARLY,
-    config=AGGRESSIVE,
-    chunk=CHUNK,
-):
-    structure, thresholds = setup
-    fleet = ParallelMultiStreamDetector.shared(
-        streams,
-        structure,
-        thresholds,
-        workers=2,
-        faults="restart",
-        supervision=FAST,
-        fault_plan=plan,
-        shedding=shedding,
-        overload=config,
-    )
-    with fleet:
-        got = fleet.detect(streams, chunk_size=chunk)
-    return got, fleet
-
-
-# ---------------------------------------------------------------------------
-# OverloadDetector: hysteresis + dwell (pure unit tests)
-# ---------------------------------------------------------------------------
-
-class TestOverloadDetector:
-    def test_first_sample_seeds_the_ema(self):
-        det = OverloadDetector(OverloadConfig())
-        assert det.ema == 0.0
-        det.observe(0.8)
-        assert det.ema == pytest.approx(0.8)
-
-    def test_enter_then_exit_through_the_band(self):
-        cfg = OverloadConfig(
-            enter_latency=1.0,
-            exit_latency=0.5,
-            ema_alpha=1.0,
-            min_dwell_rounds=1,
-        )
-        det = OverloadDetector(cfg)
-        assert det.observe(2.0) is True  # >= enter
-        assert det.observe(0.6) is True  # inside the band: holds state
-        assert det.observe(0.4) is False  # <= exit
-        assert det.transitions == 2
-        assert det.overloaded_rounds == 2
-
-    def test_oscillation_within_band_never_transitions(self):
-        # x alternates 0.2 / 1.4 with alpha=0.5: the EMA converges to the
-        # 0.6 <-> 1.0 cycle, which never reaches enter=1.05 nor exit=0.5,
-        # so hysteresis alone (dwell=1) must hold the state forever.
-        cfg = OverloadConfig(
-            enter_latency=1.05,
-            exit_latency=0.5,
-            ema_alpha=0.5,
-            min_dwell_rounds=1,
-        )
-        det = OverloadDetector(cfg)
-        for i in range(1000):
-            det.observe(0.2 if i % 2 == 0 else 1.4)
-        assert det.transitions == 0
-        assert not det.overloaded
-
-    def test_transition_rate_bounded_by_dwell(self):
-        # Worst-case adversary: raw samples slam across both thresholds
-        # every round (alpha=1 makes the EMA track them exactly).  The
-        # dwell gate alone must cap the flip rate at 1 per dwell rounds.
-        cfg = OverloadConfig(
-            enter_latency=1.0,
-            exit_latency=0.5,
-            ema_alpha=1.0,
-            min_dwell_rounds=3,
-        )
-        det = OverloadDetector(cfg)
-        rounds = 999
-        for i in range(rounds):
-            det.observe(10.0 if i % 2 == 0 else 0.0)
-        assert det.transitions <= rounds // cfg.min_dwell_rounds
-        assert det.transitions >= 2  # but it does move eventually
-        assert det.rounds == rounds
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            OverloadDetector().observe(-0.1)
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"enter_latency": 0.0}, "enter_latency"),
-            ({"exit_latency": 2.0}, "exit"),  # >= enter
-            ({"exit_latency": 0.0}, "exit"),
-            ({"ema_alpha": 0.0}, "ema_alpha"),
-            ({"ema_alpha": 1.5}, "ema_alpha"),
-            ({"min_dwell_rounds": 0}, "min_dwell_rounds"),
-            ({"widen_factor": 1}, "widen_factor"),
-            ({"sample_fraction": 1.0}, "sample_fraction"),
-        ],
-    )
-    def test_config_validation(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            OverloadConfig(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# SheddingReport: the accounting ledger
-# ---------------------------------------------------------------------------
-
-class TestSheddingReport:
-    def test_totals_split_by_action_kind(self):
-        rep = SheddingReport("sample_streams")
-        rep.record(ShedAction("sample_streams", "drop", 3, "a", points=250))
-        rep.record(ShedAction("sample_streams", "drop", 4, "b", points=120))
-        rep.record(ShedAction("widen_chunks", "defer", 5, "a", points=80))
-        rep.record(ShedAction("coarsen_sat", "coarsen", 6, "a"))
-        rep.record(ShedAction("coarsen_sat", "coarsen", 7, "a"))
-        assert rep.dropped_points == 370
-        assert rep.deferred_points == 80
-        assert rep.coarsened_streams == 1  # distinct streams, not events
-        assert len(rep.actions) == 5
-        d = rep.as_dict()
-        assert d["dropped_points"] == 370
-        assert "dropped=370" in rep.summary()
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown shedding policy"):
-            SheddingReport("drop_everything")
-        with pytest.raises(ValueError, match="unknown shedding policy"):
-            ShedPlanner("drop_everything")
-
-    def test_action_rendering(self):
-        act = ShedAction("sample_streams", "drop", 2, "b", points=9, detail="x")
-        assert str(act) == "drop@r2[b] points=9 (x)"
-
-    def test_policy_ladder_is_exported(self):
-        assert SHEDDING_POLICIES == (
-            "none",
-            "widen_chunks",
-            "sample_streams",
-            "coarsen_sat",
-        )
-
-
-class TestCoarsenStructure:
-    def test_preserves_top_and_coverage(self):
-        fine = shifted_binary_tree(16)
-        coarse = coarsen_structure(fine)
-        assert coarse.num_levels == 1
-        assert coarse.top == fine.top
-        assert coarse.coverage == fine.coverage
-        # Identical history requirement is what legalises the mid-run
-        # carry/from_carry swap in both directions.
-        assert (
-            coarse.top.size + coarse.top.shift
-            == fine.top.size + fine.top.shift
-        )
-
-    def test_already_flat_structures_pass_through(self):
-        flat = coarsen_structure(shifted_binary_tree(16))
-        assert coarsen_structure(flat) is flat
-
-
 class TestLatencyPercentiles:
     def test_empty_is_zero(self):
         assert latency_percentiles(()) == (0.0, 0.0)
@@ -257,103 +69,6 @@ class TestLatencyPercentiles:
     def test_percentiles_ordered(self):
         p50, p99 = latency_percentiles(tuple(float(i) for i in range(100)))
         assert 0.0 < p50 < p99
-
-
-# ---------------------------------------------------------------------------
-# Differential: each policy's contract under injected stragglers
-# ---------------------------------------------------------------------------
-
-@needs_dev_shm
-class TestSheddingPolicies:
-    def test_none_is_byte_identical_and_sheds_nothing(
-        self, streams, setup, expected
-    ):
-        got, fleet = run_shedding(streams, setup, "none")
-        want, serial = expected
-        for name in streams:
-            assert tuple(got[name]) == tuple(want[name]), name
-            assert_counters_equal(
-                fleet.counters(name), serial.detector(name).counters
-            )
-        s = fleet.stats()
-        assert s.overloaded_rounds >= 1  # the stragglers were seen...
-        assert s.shed_actions == 0  # ...but nothing was shed
-        assert s.dropped_points == 0
-        assert s.deferred_points == 0
-        assert fleet.shedding == "none"
-
-    def test_widen_chunks_is_lossless(self, streams, setup, expected):
-        got, fleet = run_shedding(streams, setup, "widen_chunks")
-        want, serial = expected
-        # Chunk-partition invariance: batching deferred chunks into one
-        # wide chunk changes IPC shape only — bursts AND counters match.
-        for name in streams:
-            assert tuple(got[name]) == tuple(want[name]), name
-            assert_counters_equal(
-                fleet.counters(name), serial.detector(name).counters
-            )
-        rep = fleet.shedding_report()
-        assert rep.deferred_points > 0
-        assert rep.dropped_points == 0
-        flushed = sum(
-            a.points for a in rep.actions if a.action == "flush"
-        )
-        assert flushed >= rep.deferred_points  # every deferral flushed
-
-    def test_sample_streams_accounts_for_every_dropped_point(
-        self, streams, setup, expected
-    ):
-        got, fleet = run_shedding(streams, setup, "sample_streams")
-        _, serial = expected
-        rep = fleet.shedding_report()
-        assert rep.dropped_points > 0
-        dropped = {name: 0 for name in streams}
-        for act in rep.actions:
-            assert act.action == "drop"
-            dropped[act.stream] += act.points
-        # Exact reconciliation: every point is either ingested (one
-        # level-0 update each) or on the drop ledger — no third fate.
-        for name, data in streams.items():
-            ingested = fleet.counters(name).updates[0]
-            assert ingested == data.size - dropped[name], name
-        assert fleet.stats().dropped_points == sum(dropped.values())
-
-    def test_coarsen_sat_finds_identical_bursts(
-        self, streams, setup, expected
-    ):
-        # Smaller chunks -> more rounds, so the run both coarsens under
-        # load and restores the trained structures after recovery.
-        got, fleet = run_shedding(streams, setup, "coarsen_sat", chunk=125)
-        want, _ = expected
-        # Structure affects cost only, never which windows alarm: the
-        # swap lands on aligned stream positions (swap_alignment), so
-        # the coarse run reports exactly the same (end, size) windows.
-        # Emission order may interleave differently around a swap, and
-        # burst *values* are the same sums re-associated through a
-        # different tree decomposition — so compare the window sets
-        # exactly and the values to FP tolerance.
-        key = lambda b: (b.end, b.size)  # noqa: E731
-        for name in streams:
-            g = sorted(got[name], key=key)
-            w = sorted(want[name], key=key)
-            assert [key(b) for b in g] == [key(b) for b in w], name
-            assert np.allclose(
-                [b.value for b in g], [b.value for b in w]
-            ), name
-        rep = fleet.shedding_report()
-        kinds = {a.action for a in rep.actions}
-        assert kinds <= {"coarsen", "restore"}
-        assert "coarsen" in kinds
-        assert "restore" in kinds
-        assert rep.coarsened_streams == len(streams)
-        assert rep.dropped_points == 0
-
-    def test_rejects_unknown_policy(self, streams, setup):
-        structure, thresholds = setup
-        with pytest.raises(ValueError, match="shedding must be one of"):
-            ParallelMultiStreamDetector.shared(
-                streams, structure, thresholds, shedding="yolo"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +86,22 @@ class TestRuntimeStats:
         assert isinstance(s, RuntimeStats)
         assert s.backend == "serial"
         assert s.workers == 0
-        assert not s.overloaded
+        assert not s.degraded
         assert "backend=serial" in s.describe()
 
     def test_parallel_snapshot_survives_close(self, streams, setup):
-        got, fleet = run_shedding(streams, setup, "none")
+        structure, thresholds = setup
+        fleet = ParallelMultiStreamDetector.shared(
+            streams,
+            structure,
+            thresholds,
+            workers=2,
+            faults="restart",
+            supervision=FAST,
+            fault_plan=DELAY_EARLY,
+        )
+        with fleet:
+            fleet.detect(streams, chunk_size=CHUNK)
         s = fleet.stats()  # after the `with` block: pool closed
         assert s.backend == "parallel"
         assert s.workers == 2
@@ -383,7 +109,7 @@ class TestRuntimeStats:
         assert s.latency_p99 > 0.0  # the injected stragglers are visible
         assert s.max_inflight >= 1
         desc = s.describe()
-        for token in ("backend=parallel", "shed=none", "restarts=0"):
+        for token in ("backend=parallel", "degraded=no", "restarts=0"):
             assert token in desc
         assert s.as_dict()["workers"] == 2
 
@@ -412,8 +138,6 @@ class TestRuntimeStats:
             faults="degrade",
             supervision=policy,
             fault_plan=plan,
-            shedding="none",
-            overload=AGGRESSIVE,
         )
         with fleet:
             got = fleet.detect(streams, chunk_size=CHUNK)
@@ -434,7 +158,7 @@ class TestRuntimeStats:
 
 
 # ---------------------------------------------------------------------------
-# CLI: the tier-1 smoke for the new knobs
+# CLI: the stats line on stderr
 # ---------------------------------------------------------------------------
 
 class TestOverloadCLI:
@@ -450,32 +174,6 @@ class TestOverloadCLI:
         )
         return spec, live
 
-    def test_detect_accepts_overload_flags_and_reports_stats(
-        self, spec_and_stream, tmp_path, capsys
-    ):
-        spec, live = spec_and_stream
-        out = tmp_path / "bursts.csv"
-        cli_main(
-            [
-                "detect",
-                str(spec),
-                str(live),
-                "-o",
-                str(out),
-                "--shedding",
-                "widen_chunks",
-                "--overload-enter",
-                "0.5",
-                "--overload-exit",
-                "0.2",
-                "--overload-dwell",
-                "2",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert "# stats: " in err
-        assert "shed=widen_chunks" in err
-
     def test_detect_defaults_still_report_stats(
         self, spec_and_stream, tmp_path, capsys
     ):
@@ -484,24 +182,12 @@ class TestOverloadCLI:
             ["detect", str(spec), str(live), "-o", str(tmp_path / "b.csv")]
         )
         err = capsys.readouterr().err
-        assert "# stats: " in err
-        assert "shed=none" in err
-
-    def test_invalid_band_is_a_clean_cli_error(
-        self, spec_and_stream, tmp_path, capsys
-    ):
-        spec, live = spec_and_stream
-        with pytest.raises(SystemExit):
-            cli_main(
-                [
-                    "detect",
-                    str(spec),
-                    str(live),
-                    "-o",
-                    str(tmp_path / "b.csv"),
-                    "--overload-enter",
-                    "0.1",
-                    "--overload-exit",
-                    "0.9",
-                ]
-            )
+        # One stream under --workers auto always runs serial, and the
+        # serial backend has no latency samples: the line is fixed.
+        stats = [
+            line for line in err.splitlines() if line.startswith("# stats: ")
+        ]
+        assert stats == [
+            "# stats: backend=serial workers=0 p50=0.000s p99=0.000s "
+            "queue=0/32 restarts=0 degraded=no"
+        ]
