@@ -34,8 +34,10 @@ that can, since record values are non-negative and both aggregates are
 monotone.
 
 The ingestor keeps the sealed series (one float per sealed bin) for
-window re-evaluation; amendment cost is O(sizes x window span), paid
-only on actual revisions.
+window re-evaluation.  A revision costs one array pass over the
+(size x end) grid of windows containing the bin, plus one exact
+reduction of each window whose cheap bound reaches its threshold;
+nothing is paid when no bin is revised.
 """
 
 from __future__ import annotations
@@ -352,42 +354,67 @@ class StreamIngestor:
         """Re-check every sealed window containing bin ``t``.
 
         Windows ending at or beyond the frontier are the detector's
-        problem (its engine was amended); windows fully inside the
-        sealed region were already scanned under the old value, so any
-        verdict change must surface as an amendment event.  Old window
-        values are recomputed with the bin restored — a pure function
-        of the sealed series, so replays agree exactly.
+        problem (its engine was amended).  Windows ending below it are
+        sealed, and a verdict change there surfaces as an amendment
+        event.  Most were scanned under the old value, but one ending
+        in the last few sealed bins may still await the detector node
+        that covers it, which then reports it again (DESIGN.md §15).
+
+        One array pass bounds the old and new value of every window
+        over ``t``.  Only windows whose bound reaches the threshold are
+        reduced exactly (the old value with the bin restored, a pure
+        function of the sealed series), in size-then-end order, so
+        events and beliefs equal ``repro.testkit.reevaluate_windows``
+        bit for bit.
         """
+        sizes = self._thresholds.window_sizes
+        limits = self._thresholds.values
+        maxw = self._thresholds.max_window
+        lo = max(0, t - maxw + 1)
+        hi = min(t + maxw - 1, self.watermark - 1)
+        ends = np.arange(t, hi + 1, dtype=np.int64)
+        starts = ends[None, :] - sizes[:, None] + 1
+        valid = (starts >= 0) & (starts <= t)
+        ledger = self.ledger
+        ledger.windows_reevaluated += int(np.count_nonzero(valid))
         series = self._sealed
         new_bin = float(series[t])
-        ledger = self.ledger
-        for size in self._thresholds.window_sizes.tolist():
-            f = self._thresholds.threshold(size)
-            lo = max(t, size - 1)
-            hi = min(t + size - 1, self.watermark - 1)
-            for end in range(lo, hi + 1):
-                start = end - size + 1
-                window = series[start : end + 1]
-                new_val = float(self._aggregate.reduce(window))
-                restored = window.copy()
-                restored[t - start] = old_bin
-                old_val = float(self._aggregate.reduce(restored))
-                ledger.windows_reevaluated += 1
-                if old_val < f <= new_val:
-                    ledger.record_amendment(
-                        BurstAmended(end, size, None, new_val)
-                    )
-                    self._bursts[(end, size)] = new_val
-                elif new_val < f <= old_val:
-                    ledger.record_retraction(
-                        BurstRetracted(end, size, old_val, new_val)
-                    )
-                    self._bursts.pop((end, size), None)
-                elif f <= old_val and old_val != new_val:
-                    ledger.record_amendment(
-                        BurstAmended(end, size, old_val, new_val)
-                    )
-                    self._bursts[(end, size)] = new_val
+        bound = _revision_bound(
+            self._aggregate.name,
+            series[lo : hi + 1],
+            t - lo,
+            old_bin,
+            new_bin,
+            np.clip(starts - lo, 0, t - lo),
+            ends - lo,
+        )
+        # `~(x < f)`: a NaN bound (an overflowed prefix) stays a candidate.
+        candidates = valid & ~(bound < limits[:, None])
+        for i, j in zip(*np.nonzero(candidates)):
+            size = int(sizes[i])
+            end = int(ends[j])
+            f = float(limits[i])
+            start = end - size + 1
+            window = series[start : end + 1]
+            new_val = float(self._aggregate.reduce(window))
+            restored = window.copy()
+            restored[t - start] = old_bin
+            old_val = float(self._aggregate.reduce(restored))
+            if old_val < f <= new_val:
+                ledger.record_amendment(
+                    BurstAmended(end, size, None, new_val)
+                )
+                self._bursts[(end, size)] = new_val
+            elif new_val < f <= old_val:
+                ledger.record_retraction(
+                    BurstRetracted(end, size, old_val, new_val)
+                )
+                self._bursts.pop((end, size), None)
+            elif f <= old_val and old_val != new_val:
+                ledger.record_amendment(
+                    BurstAmended(end, size, old_val, new_val)
+                )
+                self._bursts[(end, size)] = new_val
 
     # -- sealing -------------------------------------------------------
     def _seal_to(self, new_frontier: int) -> list[Burst]:
@@ -422,6 +449,43 @@ class StreamIngestor:
             raise RuntimeError(
                 "ingestor already finished; only correct() may follow"
             )
+
+
+def _revision_bound(
+    name: str,
+    seg: np.ndarray,
+    k: int,
+    old_bin: float,
+    new_bin: float,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> np.ndarray:
+    """Upper bound on the old and new value of each window over a bin.
+
+    The revised bin is ``seg[k]``, now ``new_bin``; window
+    ``[starts[i, j], ends[j]]`` (local to ``seg``) gets bound ``[i, j]``.
+    MAX is exact; SUM adds a tolerance for its own rounding and that of
+    ``reduce`` (DESIGN.md §15); any other aggregate gets ``inf``.
+    """
+    if name == "max":
+        # Running maxima away from the bin: each window's max without it.
+        left = np.full(k + 1, -np.inf, dtype=np.float64)
+        left[:k] = np.maximum.accumulate(seg[:k][::-1])[::-1]
+        right = np.full(seg.size - k, -np.inf, dtype=np.float64)
+        right[1:] = np.maximum.accumulate(seg[k + 1 :])
+        rest = np.maximum(left[starts], right[ends - k])
+        return np.maximum(rest, max(old_bin, new_bin))
+    if name == "sum":
+        # A span near the float64 maximum overflows to inf (and inf -
+        # inf to NaN); such a bound never rules a window out.
+        with np.errstate(over="ignore", invalid="ignore"):
+            prefix = np.zeros(seg.size + 1, dtype=np.float64)
+            np.cumsum(seg, out=prefix[1:])
+            scale = prefix[-1] + abs(old_bin) + abs(new_bin)
+            tol = 4 * seg.size * np.finfo(np.float64).eps * scale
+            lift = max(0.0, old_bin - new_bin) + tol
+            return prefix[ends + 1] - prefix[starts] + lift
+    return np.full(starts.shape, np.inf, dtype=np.float64)
 
 
 class _NamedSink:

@@ -90,6 +90,7 @@ from .oracles import (
     diff_burst_sets,
     differential_check,
     fault_plan_check,
+    reevaluate_windows,
     run_backend,
     spatial_differential_check,
     worker_sweep_check,
@@ -121,6 +122,7 @@ __all__ = [
     "diff_burst_sets",
     "differential_check",
     "fault_plan_check",
+    "reevaluate_windows",
     "run_backend",
     "spatial_differential_check",
     "worker_sweep_check",

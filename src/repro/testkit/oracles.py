@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.adaptive import AdaptiveConfig, AdaptiveDetector
+from ..core.aggregates import AggregateFunction
 from ..core.chunked import ChunkedDetector
 from ..core.detector import StreamingDetector
 from ..core.kernel import numba_available
@@ -27,6 +28,7 @@ from ..core.events import Burst, BurstSet
 from ..core.naive import NaiveDetector, naive_detect
 from ..core.search import SearchParams
 from ..core.thresholds import ThresholdModel
+from ..ingest.ledger import BurstAmended, BurstRetracted
 from .generators import FuzzCase
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "diff_burst_sets",
     "differential_check",
     "fault_plan_check",
+    "reevaluate_windows",
     "run_backend",
     "spatial_differential_check",
     "worker_sweep_check",
@@ -81,6 +84,56 @@ def brute_force_spatial_bursts(grid, thresholds):
                 if grid[r : r + w, c : c + w].sum() >= f:
                     out.add((r, c, w))
     return out
+
+
+def reevaluate_windows(
+    series: np.ndarray,
+    t: int,
+    old_bin: float,
+    frontier: int,
+    thresholds: ThresholdModel,
+    aggregate: AggregateFunction,
+) -> tuple[
+    list[BurstAmended | BurstRetracted],
+    list[tuple[tuple[int, int], float | None]],
+    int,
+]:
+    """Scalar oracle for an amendment re-check: one window at a time.
+
+    ``series`` is the sealed series after bin ``t`` was revised from
+    ``old_bin``; every window over ``t`` that ends below ``frontier`` is
+    reduced from scratch, twice (new bin, then old bin restored), in
+    size-then-end order, and run through the ingestor's three-way rule.
+    Returns the events in order, the belief updates in order (``None``
+    drops the belief), and the number of windows checked —
+    :meth:`repro.ingest.StreamIngestor._reevaluate` must reproduce all
+    three bit for bit.
+    """
+    events: list[BurstAmended | BurstRetracted] = []
+    updates: list[tuple[tuple[int, int], float | None]] = []
+    windows = 0
+    for size in thresholds.window_sizes.tolist():
+        f = thresholds.threshold(size)
+        lo = max(t, size - 1)
+        hi = min(t + size - 1, frontier - 1)
+        for end in range(lo, hi + 1):
+            start = end - size + 1
+            window = series[start : end + 1]
+            new_val = float(aggregate.reduce(window))
+            restored = window.copy()
+            restored[t - start] = old_bin
+            old_val = float(aggregate.reduce(restored))
+            windows += 1
+            if old_val < f <= new_val:
+                events.append(BurstAmended(end, size, None, new_val))
+                updates.append(((end, size), new_val))
+            elif new_val < f <= old_val:
+                events.append(BurstRetracted(end, size, old_val, new_val))
+                updates.append(((end, size), None))
+            elif f <= old_val and old_val != new_val:
+                events.append(BurstAmended(end, size, old_val, new_val))
+                updates.append(((end, size), new_val))
+    return events, updates, windows
 
 
 # ---------------------------------------------------------------------------

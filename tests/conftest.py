@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.thresholds import NormalThresholds, all_sizes
 from repro.testkit.oracles import brute_force_bursts
+
+# Deep property runs for the nightly CI job
+# (``pytest --hypothesis-profile=nightly``); tier-1 keeps the default.
+settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
 @pytest.fixture
