@@ -329,9 +329,10 @@ class ChunkedDetector:
         Python where :func:`search_dsr` refinement runs.
         """
         counters = self.counters
-        # A detector resumed from a coarser-structure hot-swap keeps the
-        # carried counters, which may have MORE levels than the current
-        # structure; the extra trailing levels simply stop accumulating.
+        # A detector restored from a carry taken under a deeper structure
+        # keeps the carried counters, which then have MORE levels than
+        # the current structure; the extra trailing levels simply stop
+        # accumulating.
         n = scratch.update_counts.size
         counters.updates[:n] += scratch.update_counts
         counters.filter_comparisons[:n] += scratch.filter_counts

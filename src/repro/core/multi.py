@@ -149,8 +149,8 @@ class MultiStreamDetector:
         """Resumable carry per stream — the durable layer's snapshot hook.
 
         Serial detectors are always at a consistent boundary between
-        calls; the parallel runtime exposes the same method with the
-        round/swap-alignment caveats documented there.
+        calls; the parallel runtime exposes the same method, meaningful
+        between its rounds.
         """
         return {
             name: det.carry()

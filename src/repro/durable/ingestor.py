@@ -47,6 +47,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..core.chunked import initial_carry
 from ..core.events import Burst, BurstSet
 from ..core.multi import MultiStreamDetector
 from ..ingest import (
@@ -412,31 +413,22 @@ class DurableMultiStreamIngestor:
             raise CorruptWalError(
                 "snapshot carries cover only part of the fleet"
             )
-        refine = bool(meta["refine_filter"])
-        if carries:
-            fleet = MultiStreamDetector.from_carries(
-                spec.structure,
-                spec.thresholds,
-                carries,
-                refine_filter=refine,
-                backend=backend,
-            )
-        else:
-            fleet = MultiStreamDetector.shared(
-                names,
-                spec.structure,
-                spec.thresholds,
-                aggregate=spec.aggregate,
-                refine_filter=refine,
-                backend=backend,
-            )
-            if state is not None:
-                # Finished-run snapshot: the engines are closed, but the
-                # final per-stream counters must survive recovery.
-                for name, payload in state["counters"].items():
-                    fleet.detector(name).counters = counters_from_dict(
-                        payload
-                    )
+        fleet = MultiStreamDetector.from_carries(
+            spec.structure,
+            spec.thresholds,
+            carries
+            or {
+                name: initial_carry(spec.structure, spec.aggregate)
+                for name in names
+            },
+            refine_filter=bool(meta["refine_filter"]),
+            backend=backend,
+        )
+        if state is not None and not carries:
+            # Finished-run snapshot: the engines are closed, but the
+            # final per-stream counters must survive recovery.
+            for name, payload in state["counters"].items():
+                fleet.detector(name).counters = counters_from_dict(payload)
         self = cls.__new__(cls)
         self._init_parts(
             fleet,

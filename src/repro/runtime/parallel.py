@@ -17,11 +17,17 @@ path.  The serial path is byte-for-byte the existing
 :class:`MultiStreamDetector`, wrapped so callers can switch backends
 without touching call sites.
 
+A shared fleet starts from fresh carries
+(:func:`~repro.core.chunked.initial_carry`): :meth:`shared` is
+:meth:`from_carries` at stream position zero, so workers build every
+stream with the one ``restore`` command, as a resumed run and a
+restarted worker do.
+
 Fault policies (``faults=``):
 
-* ``"raise"`` (default) — today's fail-fast contract: any worker death,
-  hang past the pool's ``recv_timeout``, or corrupt chunk aborts the run
-  with a :class:`~repro.runtime.pool.WorkerError`.
+* ``"raise"`` (default) — fail fast: any worker death, hang past the
+  pool's ``recv_timeout``, or corrupt chunk aborts the run with a
+  :class:`~repro.runtime.pool.WorkerError`.
 * ``"restart"`` — a :class:`~repro.runtime.supervisor.Supervisor` owns
   the pool: every acknowledged round checkpoints each stream's carry
   state (:class:`~repro.core.chunked.DetectorCarry`), a crashed or hung
@@ -33,6 +39,11 @@ Fault policies (``faults=``):
   recovery budget; then the run folds back into in-process serial
   execution from the checkpoints, replaying lost work locally, and
   continues without losing a byte.
+
+All three policies share one round path, :meth:`_exchange`: one
+command to each worker, one reply from each.  With a supervisor it
+heals; without one every failure is final, and a failure the policy
+cannot absorb closes the pool and unlinks the ring.
 
 Per-stream training (the paper's §5.4 portfolio setup) is where
 parallelism pays most: fitting :class:`NormalThresholds` and running the
@@ -52,7 +63,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..core.aggregates import SUM, AggregateFunction, aggregate_by_name
+from ..core.aggregates import SUM, AggregateFunction
 from ..core.chunked import (
     DEFAULT_CHUNK,
     ChunkedDetector,
@@ -140,24 +151,13 @@ def latency_percentiles(samples: Iterable[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _StreamConfig:
-    """Everything needed to rebuild one stream's detector from a carry."""
+    """Everything needed to rebuild one stream's detector from a carry
+    (which records the aggregate)."""
 
     structure: SATStructure
     thresholds: ThresholdModel
-    aggregate: str
     refine: bool
     backend: str = "auto"
-
-    def build_command(self, name: str) -> tuple[Any, ...]:
-        return (
-            "build",
-            name,
-            self.structure,
-            self.thresholds,
-            self.aggregate,
-            self.refine,
-            self.backend,
-        )
 
     def restore_command(
         self, name: str, carry: DetectorCarry
@@ -167,7 +167,6 @@ class _StreamConfig:
             name,
             self.structure,
             self.thresholds,
-            self.aggregate,
             self.refine,
             self.backend,
             carry,
@@ -201,19 +200,18 @@ class ParallelMultiStreamDetector:
         ring: SharedChunkRing | None,
         owners: dict[str, int],
         serial: MultiStreamDetector | None,
-        structures: dict[str, SATStructure] | None = None,
+        faults: str,
     ) -> None:
         self._names = names
         self._pool = pool
         self._ring = ring
         self._owners = owners
         self._serial = serial
-        self._structures = structures or {}
         self._counters: dict[str, OpCounters] | None = None
         self._finished = False
         self._closed = False
+        self._faults = faults
         # Fault-tolerance state; populated by _configure_faults.
-        self._faults = "raise"
         self._policy: SupervisorPolicy | None = None
         self._supervisor: Supervisor | None = None
         self._injector: FaultInjector | None = None
@@ -231,33 +229,25 @@ class ParallelMultiStreamDetector:
 
     def _configure_faults(
         self,
-        faults: str,
         policy: SupervisorPolicy | None,
         plan: FaultPlan | None,
         configs: dict[str, _StreamConfig],
+        carries: Mapping[str, DetectorCarry],
     ) -> None:
-        self._faults = faults
-        if self._pool is None:
-            # Serial backend: nothing can crash, plans have no workers
-            # to hit; the policy knob is accepted for call-site symmetry.
-            return
-        # Kept for every policy: refine_filter reads the recipe even in
-        # fail-fast mode.
+        """Arm the fault policy on a pool whose workers start from
+        ``carries``, which become a supervisor's first checkpoints."""
+        # Kept for every policy: refine_filter and structure read the
+        # recipe even in fail-fast mode.
         self._configs = configs
         if plan is not None:
             self._injector = FaultInjector(plan)
-        if faults == "raise":
+        if self._faults == "raise":
             return
         self._policy = policy if policy is not None else SupervisorPolicy()
         self._supervisor = Supervisor(
             self._pool, self._policy, self._reprime
         )
-        self._checkpoints = {
-            name: initial_carry(
-                cfg.structure, aggregate_by_name(cfg.aggregate)
-            )
-            for name, cfg in configs.items()
-        }
+        self._checkpoints = dict(carries)
 
     @staticmethod
     def _check_faults(faults: str, plan: FaultPlan | None) -> bool:
@@ -286,45 +276,26 @@ class ParallelMultiStreamDetector:
         fault_plan: FaultPlan | None = None,
         recv_timeout: float | None = None,
     ) -> "ParallelMultiStreamDetector":
-        """Same structure and thresholds for every stream."""
-        names = cls._check_names(names)
-        checksum = cls._check_faults(faults, fault_plan)
-        # Fail fast in the parent on an unknown backend or a missing
-        # numba install, before any worker process spawns.
-        resolve_backend(backend)
-        n_workers = resolve_workers(workers, len(names))
-        if n_workers == 0:
-            serial = MultiStreamDetector.shared(
-                names,
-                structure,
-                thresholds,
-                aggregate=aggregate,
-                refine_filter=refine_filter,
-                backend=backend,
-            )
-            det = cls(names, None, None, {}, serial)
-            det._faults = faults
-            return det
-        config = _StreamConfig(
-            structure, thresholds, aggregate.name, refine_filter, backend
+        """Same structure and thresholds for every stream.
+
+        :meth:`from_carries` at stream position zero: every stream
+        starts from a fresh carry.
+        """
+        return cls.from_carries(
+            structure,
+            thresholds,
+            {
+                name: initial_carry(structure, aggregate)
+                for name in cls._check_names(names)
+            },
+            workers=workers,
+            refine_filter=refine_filter,
+            backend=backend,
+            faults=faults,
+            supervision=supervision,
+            fault_plan=fault_plan,
+            recv_timeout=recv_timeout,
         )
-        pool = WorkerPool(n_workers, recv_timeout=recv_timeout)
-        try:
-            owners = {
-                name: i % n_workers for i, name in enumerate(names)
-            }
-            _send_bounded(pool, owners, names, config.build_command)
-        except Exception:
-            pool.close()
-            raise
-        det = cls(names, pool, SharedChunkRing(checksum), owners, None)
-        det._configure_faults(
-            faults,
-            supervision,
-            fault_plan,
-            dict.fromkeys(names, config),
-        )
-        return det
 
     @classmethod
     def from_carries(
@@ -343,17 +314,20 @@ class ParallelMultiStreamDetector:
     ) -> "ParallelMultiStreamDetector":
         """Resume a shared-structure fleet from per-stream carries.
 
-        The durable layer's recovery path: each worker rebuilds its
-        shard through the ``restore`` command instead of ``build``, so
-        a recovered pool continues mid-stream with the exact engine
-        tails and op counters the checkpoints hold.  The aggregate is
-        taken from each carry (it was recorded at checkpoint time);
-        supervision checkpoints start from the carries, not zero, so a
-        first-round worker loss sees the resumed offsets.
+        The durable layer's recovery path, and :meth:`shared` over fresh
+        carries: each worker rebuilds its shard through the ``restore``
+        command, so a recovered pool continues mid-stream with the exact
+        engine tails and op counters the checkpoints hold.  The
+        aggregate is taken from each carry (it was recorded at
+        checkpoint time); supervision checkpoints start from the
+        carries, not zero, so a first-round worker loss sees the
+        resumed offsets.
         """
         carries = dict(carries)
         names = cls._check_names(carries)
         checksum = cls._check_faults(faults, fault_plan)
+        # Fail fast in the parent on an unknown backend or a missing
+        # numba install, before any worker process spawns.
         resolve_backend(backend)
         n_workers = resolve_workers(workers, len(names))
         if n_workers == 0:
@@ -364,19 +338,10 @@ class ParallelMultiStreamDetector:
                 refine_filter=refine_filter,
                 backend=backend,
             )
-            det = cls(names, None, None, {}, serial)
-            det._faults = faults
-            return det
-        configs = {
-            name: _StreamConfig(
-                structure,
-                thresholds,
-                carries[name].aggregate,
-                refine_filter,
-                backend,
-            )
-            for name in names
-        }
+            # Nothing can crash in process: the policy knob and any
+            # plan are accepted for call-site symmetry.
+            return cls(names, None, None, {}, serial, faults)
+        config = _StreamConfig(structure, thresholds, refine_filter, backend)
         pool = WorkerPool(n_workers, recv_timeout=recv_timeout)
         try:
             owners = {
@@ -386,17 +351,17 @@ class ParallelMultiStreamDetector:
                 pool,
                 owners,
                 names,
-                lambda name: configs[name].restore_command(
-                    name, carries[name]
-                ),
+                lambda name: config.restore_command(name, carries[name]),
             )
         except Exception:
             pool.close()
             raise
-        det = cls(names, pool, SharedChunkRing(checksum), owners, None)
-        det._configure_faults(faults, supervision, fault_plan, configs)
-        if det._supervisor is not None:
-            det._checkpoints = dict(carries)
+        det = cls(
+            names, pool, SharedChunkRing(checksum), owners, None, faults
+        )
+        det._configure_faults(
+            supervision, fault_plan, dict.fromkeys(names, config), carries
+        )
         return det
 
     @classmethod
@@ -437,9 +402,7 @@ class ParallelMultiStreamDetector:
                 refine_filter=refine_filter,
                 backend=backend,
             )
-            det = cls(names, None, None, {}, serial)
-            det._faults = faults
-            return det
+            return cls(names, None, None, {}, serial, faults)
         sizes = tuple(int(w) for w in window_sizes)
         pool = WorkerPool(n_workers, recv_timeout=recv_timeout)
         ring = SharedChunkRing(checksum)
@@ -483,19 +446,18 @@ class ParallelMultiStreamDetector:
             finally:
                 pool.close()
             raise
-        det = cls(names, pool, ring, owners, None, structures)
+        det = cls(names, pool, ring, owners, None, faults)
         det._configure_faults(
-            faults,
             supervision,
             fault_plan,
             {
                 name: _StreamConfig(
-                    structures[name],
-                    fitted[name],
-                    aggregate.name,
-                    refine_filter,
-                    backend,
+                    structures[name], fitted[name], refine_filter, backend
                 )
+                for name in names
+            },
+            {
+                name: initial_carry(structures[name], aggregate)
                 for name in names
             },
         )
@@ -577,36 +539,37 @@ class ParallelMultiStreamDetector:
         )
 
     def structure(self, name: str) -> SATStructure:
-        """The structure detecting ``name`` (per-stream-trained mode)."""
-        if name in self._structures:
-            return self._structures[name]
+        """The structure detecting ``name``."""
         if self._serial is not None:
             return self._serial.detector(name).structure
-        if name not in self._owners:
-            raise KeyError(name)
-        raise KeyError(
-            f"no per-stream structure recorded for {name!r} "
-            "(shared mode shares one structure)"
-        )
+        return self._configs[name].structure
 
     def counters(self, name: str) -> OpCounters:
         """Operation counters of one stream's detector."""
-        if self._serial is not None:
-            return self._serial.detector(name).counters
-        if name not in self._owners:
-            raise KeyError(name)
-        return self._gather_counters()[name]
+        return self.stream_counters()[name]
 
     def stream_counters(self) -> dict[str, OpCounters]:
         """Per-stream operation counters over the whole fleet, sorted.
 
         The durable layer snapshots these next to each checkpoint carry
-        so a recovered run reports identical per-level op counts.
+        so a recovered run reports identical per-level op counts.  On a
+        pool this is the counter gather: one exchange per call until
+        :meth:`finish` has collected the final counters.
         """
         if self._serial is not None:
             return self._serial.stream_counters()
-        gathered = self._gather_counters()
-        return {name: gathered[name] for name in sorted(gathered)}
+        counters = self._counters
+        if counters is None:
+            counters = {}
+            replies = self._exchange(
+                dict.fromkeys(self._worker_ids(), _counters_command),
+                lambda exc: self._fold_back(
+                    exc, "counters", lambda det: det.counters
+                ),
+            )
+            for w in sorted(replies):
+                counters.update(replies[w][1])
+        return {name: counters[name] for name in sorted(counters)}
 
     def checkpoints(self) -> dict[str, DetectorCarry]:
         """Resumable carry per stream, gathered across the pool.
@@ -619,35 +582,13 @@ class ParallelMultiStreamDetector:
         """
         if self._serial is not None:
             return self._serial.checkpoints()
+        replies = self._exchange(
+            dict.fromkeys(self._worker_ids(), _carry_command),
+            lambda exc: self._fold_back(exc, "carry", ChunkedDetector.carry),
+        )
         carries: dict[str, DetectorCarry] = {}
-        if self._supervisor is not None:
-            builders = {w: _carry_command for w in self._worker_ids()}
-            try:
-                replies = self._supervisor.exchange(builders)
-            except WorkerUnrecoverable:
-                if self._faults != "degrade":
-                    self.close()
-                    raise
-                # _reprime already rebuilt what it could from the last
-                # acknowledged checkpoints; the serial fold-back holds
-                # exactly that state, so its carries are the boundary.
-                self._degrade_to_serial()
-                assert self._serial is not None
-                return self._serial.checkpoints()
-            except Exception:
-                self.close()
-                raise
-            for w in sorted(replies):
-                carries.update(replies[w][1])
-        else:
-            try:
-                for w in self._worker_ids():
-                    self._pool.send(w, ("carry",))
-                for w in self._worker_ids():
-                    carries.update(self._pool.recv(w)[1])
-            except Exception:
-                self.close()
-                raise
+        for w in sorted(replies):
+            carries.update(replies[w][1])
         return {name: carries[name] for name in sorted(carries)}
 
     def merged_counters(self) -> OpCounters:
@@ -656,14 +597,10 @@ class ParallelMultiStreamDetector:
         Levels are aligned from the bottom; totals are exact regardless
         of per-stream structure depth (see :meth:`OpCounters.merged`).
         """
-        if self._serial is not None:
-            return self._serial.merged_counters()
-        return OpCounters.merged(self._gather_counters().values())
+        return OpCounters.merged(self.stream_counters().values())
 
     def total_operations(self) -> int:
         """RAM-model operations summed over all streams and workers."""
-        if self._serial is not None:
-            return self._serial.total_operations()
         return self.merged_counters().total_operations
 
     def amend(self, name: str, index: int, value: float) -> None:
@@ -684,49 +621,56 @@ class ParallelMultiStreamDetector:
             )
         self._serial.amend(name, index, value)
 
-    def _gather_counters(self) -> dict[str, OpCounters]:
-        if self._counters is not None:
-            return self._counters
-        counters: dict[str, OpCounters] = {}
-        if self._supervisor is not None:
-            builders = {
-                w: _counters_command for w in self._worker_ids()
-            }
-            try:
-                replies = self._supervisor.exchange(builders)
-            except WorkerUnrecoverable:
-                if self._faults != "degrade":
-                    self.close()
-                    raise
-                # Checkpoint counters equal live counters at every round
-                # boundary, so degrading (no replay needed) and reading
-                # the restored detectors is exact.
-                self._degrade_to_serial()
-                assert self._serial is not None
-                return {
-                    name: self._serial.detector(name).counters
-                    for name in self._names
-                }
-            except Exception:
-                self.close()
-                raise
-            for w in sorted(replies):
-                counters.update(replies[w][1])
-        else:
-            try:
-                for w in self._worker_ids():
-                    self._pool.send(w, ("counters",))
-                for w in self._worker_ids():
-                    counters.update(self._pool.recv(w)[1])
-            except Exception:
-                self.close()
-                raise
-        if self._finished:
-            self._counters = counters
-        return counters
-
     def _worker_ids(self) -> list[int]:
         return sorted(set(self._owners.values()))
+
+    def _streams_of(self, worker: int) -> list[str]:
+        return [n for n in self._names if self._owners[n] == worker]
+
+    # -- the round --------------------------------------------------------
+    def _exchange(
+        self,
+        builders: Mapping[int, Callable[[], tuple[Any, ...]]],
+        stand_in: Callable[
+            [WorkerUnrecoverable], Mapping[int, tuple[Any, ...]]
+        ],
+    ) -> dict[int, tuple[Any, ...]]:
+        """One command to each worker, one reply from each, in worker order.
+
+        A supervisor heals crashes, hangs and corrupt chunks
+        (:meth:`Supervisor.exchange`).  Without one (``faults="raise"``)
+        every failure is final: a dead worker raises ``WorkerCrashed``,
+        one silent past ``recv_timeout`` ``WorkerTimeout``, and a
+        corrupt chunk ``WorkerError``.  Under ``faults="degrade"`` the
+        replies of ``stand_in(exc)`` answer for workers beyond recovery;
+        any other failure closes the pool and the ring, then propagates.
+        """
+        pool = self._pool
+        assert pool is not None
+        try:
+            if self._supervisor is not None:
+                return self._supervisor.exchange(builders)
+            for w in sorted(builders):
+                # Bounded: one command in flight per worker, and the
+                # loop below drains every reply.
+                pool.send(w, builders[w]())
+            replies: dict[int, tuple[Any, ...]] = {}
+            for w in sorted(builders):
+                reply = pool.recv(w)
+                if reply[0] == "corrupt":
+                    raise WorkerError(
+                        f"worker {w} rejected a corrupt chunk: {reply[1]}"
+                    )
+                replies[w] = reply
+            return replies
+        except WorkerUnrecoverable as exc:
+            if self._faults != "degrade":
+                self.close()
+                raise
+            return {**exc.partial, **stand_in(exc)}
+        except Exception:
+            self.close()
+            raise
 
     # -- supervision internals --------------------------------------------
     def _reprime(self, worker: int) -> None:
@@ -736,171 +680,79 @@ class ParallelMultiStreamDetector:
         resend; restores *all* streams the worker owns — the process
         lost everything — to their state at the last acknowledged round.
         """
+        assert self._pool is not None
         _send_bounded(
             self._pool,
             self._owners,
-            [n for n in self._names if self._owners[n] == worker],
+            self._streams_of(worker),
             lambda name: self._configs[name].restore_command(
                 name, self._checkpoints[name]
             ),
             deadline=self._policy.deadline if self._policy else None,
         )
 
-    def _absorb_round_reply(
-        self,
-        reply: tuple[Any, ...],
-        found: dict[str, list[Burst]],
-    ) -> None:
-        """Fold one worker's ``("bursts", ...)`` reply into the round's
-        results and advance its streams' checkpoints."""
-        _, pairs, carries = reply
-        for name, bursts in pairs:
-            found[name] = bursts
-        if carries:
-            self._checkpoints.update(carries)
-
-    def _degrade_to_serial(
-        self,
-        replay: dict[int, list[tuple[str, np.ndarray]]] | None = None,
-        failed: dict[int, str] | None = None,
-        found: dict[str, list[Burst]] | None = None,
-    ) -> None:
+    def _degrade_to_serial(self) -> MultiStreamDetector:
         """Fold the collapsed pool back into in-process execution.
 
         Every stream's detector is rebuilt from its checkpoint (the
-        state at its last acknowledged round); for workers in ``failed``
-        the current round's retained chunks in ``replay`` are then
-        re-processed locally, with their bursts recorded in ``found``.
-        The pool and ring are torn down; from here on every call
-        delegates to the serial backend, byte-identical to a run that
-        was serial from the start.
+        state at its last acknowledged round), and the pool and ring are
+        torn down.  From here on every call delegates to the returned
+        serial fleet, byte-identical to a run serial from the start.
         """
-        detectors: dict[str, ChunkedDetector] = {}
-        for name in self._names:
-            cfg = self._configs[name]
-            detectors[name] = cfg.from_carry(self._checkpoints[name])
-        if replay is not None and failed is not None:
-            for w in sorted(failed):
-                for name, arr in replay.get(w, []):
-                    bursts = detectors[name].process(arr)
-                    if found is not None:
-                        found[name] = bursts
-        self._serial = MultiStreamDetector(detectors)
+        serial = self._serial = MultiStreamDetector(
+            {
+                name: self._configs[name].from_carry(self._checkpoints[name])
+                for name in self._names
+            }
+        )
         self._degraded = True
-        if self._supervisor is not None:
-            self._total_restarts = self._supervisor.total_restarts
-        self._supervisor = None
-        self._policy = None
-        pool, ring = self._pool, self._ring
+        self._release()
         self._pool = None
         self._ring = None
-        if pool is not None:
-            self._final_latency = pool.latency_samples()
-        try:
-            if ring is not None:
-                ring.close()
-        finally:
-            if pool is not None:
-                pool.close()
+        return serial
 
-    def _process_supervised(
-        self, chunks: Mapping[str, np.ndarray]
-    ) -> dict[str, list[Burst]]:
-        per_worker: dict[int, list[tuple[str, np.ndarray]]] = {}
-        for name, chunk in chunks.items():
-            arr = np.ascontiguousarray(chunk, dtype=np.float64)
-            per_worker.setdefault(self._owners[name], []).append(
-                (name, arr)
+    def _fold_back(
+        self,
+        exc: WorkerUnrecoverable,
+        tag: str,
+        read: Callable[[ChunkedDetector], Any],
+    ) -> dict[int, tuple[Any, ...]]:
+        """Degrade-mode stand-in for a ``carry`` or ``counters`` reply.
+
+        Folds back to serial and answers for each lost worker from its
+        streams' restored detectors.  Between rounds every stream sits
+        at its last acknowledged checkpoint, which is also where the
+        healthy workers' replies describe it.
+        """
+        detector = self._degrade_to_serial().detector
+        return {
+            w: (tag, {n: read(detector(n)) for n in self._streams_of(w)})
+            for w in exc.failed
+        }
+
+    def _finish_lost(
+        self, exc: WorkerUnrecoverable
+    ) -> dict[int, tuple[Any, ...]]:
+        """Degrade-mode stand-in for a ``finish`` reply.
+
+        The lost workers' streams finish in-process from their
+        checkpoints (finish is deterministic from carry state, so a lost
+        or replayed finish cannot diverge).
+        """
+        self._degraded = True
+        replies: dict[int, tuple[Any, ...]] = {}
+        for w in exc.failed:
+            detectors = {
+                name: self._configs[name].from_carry(self._checkpoints[name])
+                for name in self._streams_of(w)
+            }
+            tails = [(name, det.finish()) for name, det in detectors.items()]
+            replies[w] = (
+                "finished",
+                tails,
+                {name: det.counters for name, det in detectors.items()},
             )
-        round_index = self._round
-        self._round += 1
-        corrupt = (
-            self._injector.corrupted_streams(round_index)
-            if self._injector is not None
-            else set()
-        )
-        live_refs: dict[int, list[ChunkRef]] = {}
-
-        def make_builder(w: int) -> Callable[[], tuple[Any, ...]]:
-            def build() -> tuple[Any, ...]:
-                # A retry rewrites the worker's chunks into fresh slots;
-                # the previous attempt's slots go back to the pool.
-                for old in live_refs.pop(w, []):
-                    self._ring.release(old)
-                work: list[tuple[str, ChunkRef]] = []
-                for name, arr in per_worker[w]:
-                    ref = self._ring.put(arr)
-                    if name in corrupt:
-                        # Injected once; the resend after detection gets
-                        # a clean slot.
-                        corrupt.discard(name)
-                        corrupt_chunk(ref)
-                    work.append((name, ref))
-                live_refs[w] = [ref for _, ref in work]
-                directive = (
-                    self._injector.worker_directive(round_index, w)
-                    if self._injector is not None
-                    else None
-                )
-                return ("process", work, True, directive)
-
-            return build
-
-        builders = {w: make_builder(w) for w in per_worker}
-        found: dict[str, list[Burst]] = {}
-        try:
-            replies = self._supervisor.exchange(builders)
-        except WorkerUnrecoverable as exc:
-            if self._faults != "degrade":
-                self.close()
-                raise
-            for w in sorted(exc.partial):
-                self._absorb_round_reply(exc.partial[w], found)
-            self._degrade_to_serial(per_worker, exc.failed, found)
-            return {name: found[name] for name in chunks}
-        except Exception:
-            self.close()
-            raise
-        for w in sorted(replies):
-            self._absorb_round_reply(replies[w], found)
-        for refs in live_refs.values():
-            for ref in refs:
-                self._ring.release(ref)
-        return {name: found[name] for name in chunks}
-
-    def _finish_supervised(self) -> dict[str, list[Burst]]:
-        tails: dict[str, list[Burst]] = {}
-        counters: dict[str, OpCounters] = {}
-        builders = {w: _finish_command for w in self._worker_ids()}
-        try:
-            replies = self._supervisor.exchange(builders)
-        except WorkerUnrecoverable as exc:
-            if self._faults != "degrade":
-                raise
-            self._degraded = True
-            for w in sorted(exc.partial):
-                _, worker_tails, worker_counters = exc.partial[w]
-                tails.update(worker_tails)
-                counters.update(worker_counters)
-            # Failed workers' streams: finish in-process from their
-            # checkpoints (finish is deterministic from carry state, so
-            # a lost or replayed finish cannot diverge).
-            for w in sorted(exc.failed):
-                for name in self._names:
-                    if self._owners[name] != w:
-                        continue
-                    det = self._configs[name].from_carry(
-                        self._checkpoints[name]
-                    )
-                    tails[name] = det.finish()
-                    counters[name] = det.counters
-        else:
-            for w in sorted(replies):
-                _, worker_tails, worker_counters = replies[w]
-                tails.update(worker_tails)
-                counters.update(worker_counters)
-        self._counters = counters
-        return tails
+        return replies
 
     # -- feeding ------------------------------------------------------------
     def process(
@@ -919,57 +771,78 @@ class ParallelMultiStreamDetector:
         unknown = set(chunks) - set(self._owners)
         if unknown:
             raise KeyError(f"unknown streams: {sorted(unknown)}")
-        if self._supervisor is not None:
-            return self._process_supervised(chunks)
-        return self._process_raw(chunks)
-
-    def _process_raw(
-        self, chunks: Mapping[str, np.ndarray]
-    ) -> dict[str, list[Burst]]:
-        """The fail-fast dispatch path (no supervisor)."""
+        ring = self._ring
+        assert ring is not None
+        per_worker: dict[int, list[tuple[str, np.ndarray]]] = {}
+        for name, chunk in chunks.items():
+            per_worker.setdefault(self._owners[name], []).append(
+                (name, chunk)
+            )
         round_index = self._round
         self._round += 1
-        per_worker: dict[int, list[tuple[str, ChunkRef]]] = {}
-        refs: list[ChunkRef] = []
-        try:
-            corrupt = (
-                self._injector.corrupted_streams(round_index)
-                if self._injector is not None
-                else set()
-            )
-            for name, chunk in chunks.items():
-                ref = self._ring.put(chunk)
-                if name in corrupt:
-                    corrupt_chunk(ref)
-                refs.append(ref)
-                per_worker.setdefault(self._owners[name], []).append(
-                    (name, ref)
-                )
-            for w in sorted(per_worker):
+        injector = self._injector
+        corrupt = (
+            injector.corrupted_streams(round_index)
+            if injector is not None
+            else set()
+        )
+        # Only a supervisor has checkpoints to advance.
+        want_carry = self._supervisor is not None
+        live_refs: dict[int, list[ChunkRef]] = {}
+
+        def make_builder(w: int) -> Callable[[], tuple[Any, ...]]:
+            def build() -> tuple[Any, ...]:
+                # A retry rewrites the worker's chunks into fresh slots;
+                # the previous attempt's slots go back to the pool.
+                for old in live_refs.pop(w, []):
+                    ring.release(old)
+                work: list[tuple[str, ChunkRef]] = []
+                for name, chunk in per_worker[w]:
+                    ref = ring.put(chunk)
+                    if name in corrupt:
+                        # Injected once; the resend after detection gets
+                        # a clean slot.
+                        corrupt.discard(name)
+                        corrupt_chunk(ref)
+                    work.append((name, ref))
+                live_refs[w] = [ref for _, ref in work]
                 directive = (
-                    self._injector.worker_directive(round_index, w)
-                    if self._injector is not None
+                    injector.worker_directive(round_index, w)
+                    if injector is not None
                     else None
                 )
-                self._pool.send(
-                    w, ("process", per_worker[w], False, directive)
-                )
-            found: dict[str, list[Burst]] = {}
-            for w in sorted(per_worker):
-                reply = self._pool.recv(w)
-                if reply and reply[0] == "corrupt":
-                    # Fail-fast policy: corruption is an error, exactly
-                    # like a crash or a hang past the deadline.
-                    raise WorkerError(
-                        f"worker {w} rejected a corrupt chunk: {reply[1]}"
-                    )
-                for name, bursts in reply[1]:
-                    found[name] = bursts
-        except Exception:
-            self.close()
-            raise
-        for ref in refs:
-            self._ring.release(ref)
+                return ("process", work, want_carry, directive)
+
+            return build
+
+        def replay_lost(
+            exc: WorkerUnrecoverable,
+        ) -> dict[int, tuple[Any, ...]]:
+            # The healthy workers' carries are this round's checkpoints;
+            # the lost workers' streams fold back at the last round's
+            # and replay their chunks in this process.
+            for reply in exc.partial.values():
+                self._checkpoints.update(reply[2])
+            serial = self._degrade_to_serial()
+            return {
+                w: ("bursts", serial.process(dict(per_worker[w])), None)
+                for w in exc.failed
+            }
+
+        replies = self._exchange(
+            {w: make_builder(w) for w in per_worker}, replay_lost
+        )
+        found: dict[str, list[Burst]] = {}
+        for w in sorted(replies):
+            _, pairs, carries = replies[w]
+            found.update(pairs)
+            if carries:
+                self._checkpoints.update(carries)
+        if self._ring is not None:
+            # After a fold-back the ring is gone with its slots.
+            for refs in live_refs.values():
+                for ref in refs:
+                    ring.release(ref)
         return {name: found[name] for name in chunks}
 
     def finish(self) -> dict[str, list[Burst]]:
@@ -979,23 +852,19 @@ class ParallelMultiStreamDetector:
         self._finished = True
         if self._serial is not None:
             return self._serial.finish()
-        if self._supervisor is not None:
-            try:
-                tails = self._finish_supervised()
-            finally:
-                self.close()
-            return {name: tails[name] for name in self._names}
-        tails = {}
-        counters: dict[str, OpCounters] = {}
         try:
-            for w in self._worker_ids():
-                self._pool.send(w, ("finish",))
-            for w in self._worker_ids():
-                _, worker_tails, worker_counters = self._pool.recv(w)
-                tails.update(worker_tails)
-                counters.update(worker_counters)
+            replies = self._exchange(
+                dict.fromkeys(self._worker_ids(), _finish_command),
+                self._finish_lost,
+            )
         finally:
             self.close()
+        tails: dict[str, list[Burst]] = {}
+        counters: dict[str, OpCounters] = {}
+        for w in sorted(replies):
+            _, worker_tails, worker_counters = replies[w]
+            tails.update(worker_tails)
+            counters.update(worker_counters)
         self._counters = counters
         return {name: tails[name] for name in self._names}
 
@@ -1008,10 +877,7 @@ class ParallelMultiStreamDetector:
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         data = {k: np.asarray(v, dtype=np.float64) for k, v in data.items()}
-        known = set(self._owners) if self._serial is None else set(
-            self._serial.names
-        )
-        unknown = set(data) - known
+        unknown = set(data) - set(self._names)
         if unknown:
             raise KeyError(f"unknown streams: {sorted(unknown)}")
         collected: dict[str, list[Burst]] = {name: [] for name in data}
@@ -1035,12 +901,15 @@ class ParallelMultiStreamDetector:
         if self._closed:
             return
         self._closed = True
+        self._release()
+
+    def _release(self) -> None:
+        """Stop the workers and unlink the ring, keeping what stats()
+        reads after the pool is gone."""
         if self._supervisor is not None:
             self._total_restarts = self._supervisor.total_restarts
         self._supervisor = None
         if self._pool is not None:
-            # Freeze latency telemetry so stats() keeps answering after
-            # the pool is gone.
             self._final_latency = self._pool.latency_samples()
         try:
             if self._pool is not None:

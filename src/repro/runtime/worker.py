@@ -10,13 +10,13 @@ per-stream checkpoint carries.
 
 Protocol (request -> reply):
 
-* ``("build", name, structure, thresholds, aggregate_name, refine,
-  backend)`` -> ``("built", name)``
-* ``("restore", name, structure, thresholds, aggregate_name, refine,
-  backend, carry)`` -> ``("restored", name)`` — rebuild a stream's
-  detector from a :class:`~repro.core.chunked.DetectorCarry` checkpoint
-  (replacing any existing detector for that name); this is how a
-  restarted worker re-enters a run mid-stream.
+* ``("restore", name, structure, thresholds, refine, backend, carry)``
+  -> ``("restored", name)`` — build a stream's detector from a
+  :class:`~repro.core.chunked.DetectorCarry` checkpoint, which records
+  the aggregate (replacing any existing detector for that name).  A new
+  stream starts from a fresh carry
+  (:func:`~repro.core.chunked.initial_carry`); a resumed run or a
+  restarted worker re-enters mid-stream the same way.
 * ``("train", name, ref, burst_probability, window_sizes, params,
   aggregate_name, refine, backend)`` -> ``("trained", name, structure,
   thresholds)``
@@ -141,27 +141,8 @@ def _dispatch(
     detectors: dict[str, ChunkedDetector],
     reader: ChunkReader,
 ) -> tuple[Any, ...]:
-    if cmd == "build":
-        _, name, structure, thresholds, aggregate_name, refine, backend = msg
-        detectors[name] = ChunkedDetector(
-            structure,
-            thresholds,
-            aggregate_by_name(aggregate_name),
-            refine_filter=refine,
-            backend=backend,
-        )
-        return ("built", name)
     if cmd == "restore":
-        (
-            _,
-            name,
-            structure,
-            thresholds,
-            aggregate_name,
-            refine,
-            backend,
-            carry,
-        ) = msg
+        _, name, structure, thresholds, refine, backend, carry = msg
         detectors[name] = ChunkedDetector.from_carry(
             structure, thresholds, carry, refine_filter=refine, backend=backend
         )

@@ -422,15 +422,19 @@ def random_fault_plan(
     rng: np.random.Generator,
     n_rounds: int,
     n_workers: int = 2,
-    streams: tuple[str, ...] = (),
+    *,
+    streams: tuple[str, ...],
     max_faults: int = 3,
 ):
     """A seeded fault schedule for the fault-injection differential.
 
     Thin wrapper over :meth:`repro.runtime.faults.FaultPlan.random` so
     the testkit draws its fault plans from the same explicit ``rng`` as
-    everything else.  ``streams`` enables chunk-corruption faults; with
-    an empty tuple only worker faults (kill/hang/drop_reply) are drawn.
+    everything else.  Each fault's kind is drawn uniformly from
+    :data:`~repro.runtime.faults.FAULT_KINDS`: the five worker kinds
+    (kill, hang, hang_hard, drop_reply, delay) and chunk corruption,
+    which hits one of ``streams``.  ``streams`` must name at least one
+    stream; ``FaultPlan.random`` raises ``ValueError`` otherwise.
     """
     from ..runtime.faults import FaultPlan
 

@@ -510,7 +510,7 @@ def fault_plan_check(
     if plan is None:
         if rng is None:
             raise ValueError("fault_plan_check needs a plan or an rng")
-        plan = random_fault_plan(rng, n_rounds, 2, tuple(data))
+        plan = random_fault_plan(rng, n_rounds, 2, streams=tuple(data))
 
     def run(faults, policy, inject) -> tuple[dict[str, BurstSet], dict]:
         det = ParallelMultiStreamDetector.shared(

@@ -81,6 +81,7 @@ class TestSharedEquivalence:
             assert_counters_equal(
                 fleet.counters(name), serial.detector(name).counters
             )
+            assert fleet.structure(name) == structure
         assert fleet.total_operations() == serial.total_operations()
         assert_counters_equal(
             fleet.merged_counters(), serial.merged_counters()
