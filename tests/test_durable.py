@@ -260,6 +260,35 @@ class TestSnapshots:
         newest.write_bytes(bytes(raw))
         assert load_latest_snapshot(tmp_path) == (5, {"x": 1})
 
+    def test_damaged_newest_loads_as_written_or_falls_back(self, tmp_path):
+        # Every one-bit flip and every truncation of the newest file:
+        # recovery gets one of the two written pairs, never a third
+        # value (a damaged LSN must not load as another LSN).
+        older = (5, {"v": [0.1, -0.0, 2.5e-7], "x": 1})
+        newer = (12, {"v": [1.0 / 3.0, -0.0, 7.25], "x": 2})
+        write_snapshot(tmp_path, *older)
+        newest = write_snapshot(tmp_path, *newer)
+        raw = newest.read_bytes()
+
+        def loaded_with(damaged: bytes) -> str:
+            newest.write_bytes(damaged)
+            got = load_latest_snapshot(tmp_path)
+            # json.dumps tells -0.0 from 0.0, which == does not.
+            return json.dumps(got, sort_keys=True)
+
+        want_older = json.dumps(older, sort_keys=True)
+        want_newer = json.dumps(newer, sort_keys=True)
+        assert loaded_with(raw) == want_newer
+        for offset in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 0x01
+            assert loaded_with(bytes(flipped)) == want_older, offset
+        for length in range(len(raw)):
+            # Only a cut of the trailing newline leaves content intact.
+            intact = raw[:length].strip() == raw.strip()
+            want = want_newer if intact else want_older
+            assert loaded_with(raw[:length]) == want, length
+
     def test_max_lsn_cap_ignores_post_trim_snapshots(self, tmp_path):
         write_snapshot(tmp_path, 5, {"x": 1})
         write_snapshot(tmp_path, 12, {"x": 2})
@@ -543,6 +572,65 @@ def test_recovers_stream_shaped_directory(tmp_path, run, keep_snapshots):
     # The resumed run recovers again from what it wrote itself.
     again, _ = DurableStreamIngestor.recover(directory)
     assert crash_fingerprint(again) == feed["fingerprint"]
+
+
+#: Written by the fleet implementation of commit 6d23009 (meta kind
+#: "multi", snapshot format v1): streams "a" and "b", SUM,
+#: ``max_lateness=2``, ``late_policy="amend"``, ``snapshot_every=16``,
+#: ``segment_entries=5``, gamma-distributed (full-mantissa) values.  The
+#: ops in ``feed.json`` include two late records, a duplicate, one
+#: ``punctuate`` and one ``correct``; its fingerprint is the
+#: uninterrupted run's, per stream.  ``midrun`` was abandoned after 37
+#: operations (snapshots at LSN 16 and 32 and an ``.open`` segment);
+#: ``finished`` ran to the end.
+MULTI_V1 = Path(__file__).parent / "fixtures" / "durable_multi_v1"
+
+
+def _fleet_fingerprint(dur) -> dict:
+    """Per stream: bursts, op counts, ledger — JSON-stable."""
+    from repro.testkit.ooo import _counter_fingerprint
+
+    counters = dur._fleet.stream_counters()
+    bursts = dur.final_bursts()
+    return {
+        name: {
+            "bursts": sorted(
+                [int(b.end), int(b.size), float(b.value)]
+                for b in bursts[name]
+            ),
+            "counters": _counter_fingerprint(counters[name]),
+            "ledger": dur.ingestor(name).ledger.as_dict(),
+        }
+        for name in dur.names
+    }
+
+
+@pytest.mark.parametrize("keep_snapshots", [True, False])
+@pytest.mark.parametrize("run", ["midrun", "finished"])
+def test_recovers_fleet_v1_directory(tmp_path, run, keep_snapshots):
+    feed = json.loads((MULTI_V1 / "feed.json").read_text())
+    directory = tmp_path / run
+    shutil.copytree(MULTI_V1 / run, directory)
+    if not keep_snapshots:
+        for path in snapshot_paths(directory):
+            path.unlink()
+    dur, report = DurableMultiStreamIngestor.recover(directory)
+    assert report.trimmed_entries == 0
+    if run == "midrun":
+        assert not report.finished
+        assert report.ops_applied == 37
+        assert report.snapshot_lsn == (32 if keep_snapshots else 0)
+        _apply_ops(dur, feed["ops"][report.ops_applied :])
+    else:
+        assert report.finished
+        assert report.ops_applied == len(feed["ops"])
+    assert _fleet_fingerprint(dur) == feed["fingerprint"]
+    # Recover again: the newest snapshot is now the one the resumed
+    # run wrote at its finish, next to the fixture's own.
+    again, report = DurableMultiStreamIngestor.recover(directory)
+    if run == "midrun" or not keep_snapshots:
+        assert report.snapshot_lsn == len(feed["ops"])
+    assert _fleet_fingerprint(again) == feed["fingerprint"]
 
 
 # ---------------------------------------------------------------------------
