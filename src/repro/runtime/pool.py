@@ -14,7 +14,8 @@ silent past the reply deadline raises :class:`WorkerTimeout`.  All parent
 blocking on worker pipes goes through :func:`_recv_with_deadline` — the
 one spot allowed to call raw ``Connection.poll``/``recv`` (lint rule
 RL007) — so no code path can hang the parent forever when a deadline is
-configured.  :meth:`close` escalates ``stop`` → ``terminate`` → ``kill``;
+configured.  :meth:`close` escalates ``stop`` → ``terminate`` → ``kill``
+(a worker whose reply timed out starts at ``terminate``);
 :meth:`restart` replaces a dead worker with a fresh process so a
 supervisor can rebuild its state and replay lost work.
 
@@ -174,6 +175,8 @@ class WorkerPool:
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list[Connection] = []
         self._inflight: list[int] = [0] * n_workers
+        # Workers whose last reply timed out: stuck, so deaf to "stop".
+        self._timed_out: set[int] = set()
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._closed = False
         try:
@@ -258,9 +261,13 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         if timeout is None:
             timeout = self._recv_timeout
-        reply, waited = _recv_with_deadline(
-            self._conns[worker], self._procs[worker], worker, timeout
-        )
+        try:
+            reply, waited = _recv_with_deadline(
+                self._conns[worker], self._procs[worker], worker, timeout
+            )
+        except WorkerTimeout:
+            self._timed_out.add(worker)
+            raise
         # A reply arrived (even an error reply): the command is no
         # longer in flight.  Crash/timeout paths leave the count as-is;
         # restart() resets it with the worker's state.
@@ -308,13 +315,21 @@ class WorkerPool:
         self._spawn(worker)
         # The replacement starts with an empty pipe: nothing in flight.
         self._inflight[worker] = 0
+        self._timed_out.discard(worker)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self, join_timeout: float = 5.0) -> None:
-        """Stop all workers: ``stop``, then ``terminate``, then ``kill``."""
+        """Stop all workers: ``stop``, then ``terminate``, then ``kill``.
+
+        A worker whose reply timed out is stuck and would never read
+        ``stop``, so it skips the graceful join: ``terminate``, then
+        ``kill``.
+        """
         if self._closed:
             return
         self._closed = True
+        for worker in sorted(self._timed_out):
+            self.ensure_dead(worker)
         for conn, proc in zip(self._conns, self._procs):
             try:
                 if proc.is_alive():

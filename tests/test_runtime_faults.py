@@ -290,6 +290,26 @@ class TestRestartPolicy:
         assert fleet._closed
         assert _shm_segments() - before == set()
 
+    def test_fail_fast_hang_does_not_wait_out_the_stop(
+        self, streams, setup
+    ):
+        # A worker whose reply timed out never reads "stop": closing
+        # the pool terminates it at once instead of joining it first.
+        structure, thresholds = setup
+        fleet = ParallelMultiStreamDetector.shared(
+            streams,
+            structure,
+            thresholds,
+            workers=2,
+            fault_plan=FaultPlan.single("hang", 1, worker=0),
+            recv_timeout=1.0,
+        )
+        start = time.monotonic()
+        with pytest.raises(WorkerTimeout):
+            fleet.detect(streams, chunk_size=CHUNK)
+        assert time.monotonic() - start < 1.0 + 2.0
+        assert fleet._closed
+
     @pytest.mark.parametrize(
         "faults, want_carry", [("raise", False), ("restart", True)]
     )
