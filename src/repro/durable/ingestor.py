@@ -355,20 +355,28 @@ class DurableMultiStreamIngestor:
             self.snapshot_now()
 
     def snapshot_now(self) -> Path:
-        """Publish fleet state at the current LSN (a round boundary)."""
+        """Publish fleet state at the current LSN (a round boundary).
+
+        Each carry holds its stream's counters, so a live pool answers
+        with one exchange; a finished run has no carries, only counters.
+        """
         if self.finished:
             carries: dict[str, Any] = {name: None for name in self.names}
+            counters = self._fleet.stream_counters()
         else:
+            checkpoints = self._fleet.checkpoints()
             carries = {
                 name: carry_to_dict(carry)
-                for name, carry in self._fleet.checkpoints().items()
+                for name, carry in checkpoints.items()
+            }
+            counters = {
+                name: carry.counters for name, carry in checkpoints.items()
             }
         state = {
             "multi": self._multi.state_dict(),
             "carries": carries,
             "counters": {
-                name: counters_to_dict(counters)
-                for name, counters in self._fleet.stream_counters().items()
+                name: counters_to_dict(c) for name, c in counters.items()
             },
         }
         lsn = self._wal.next_lsn

@@ -551,10 +551,11 @@ class ParallelMultiStreamDetector:
     def stream_counters(self) -> dict[str, OpCounters]:
         """Per-stream operation counters over the whole fleet, sorted.
 
-        The durable layer snapshots these next to each checkpoint carry
-        so a recovered run reports identical per-level op counts.  On a
-        pool this is the counter gather: one exchange per call until
-        :meth:`finish` has collected the final counters.
+        On a pool this is the counter gather: one exchange per call
+        until :meth:`finish` has collected the final counters.  A run
+        still in progress has them in each :meth:`checkpoints` carry
+        too, which is where the durable layer's snapshots read them; a
+        finished run's snapshot reads them here.
         """
         if self._serial is not None:
             return self._serial.stream_counters()

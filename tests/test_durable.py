@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,7 @@ from repro.runtime import (
     FaultPlan,
     ParallelMultiStreamDetector,
     SupervisorPolicy,
+    WorkerPool,
 )
 
 needs_dev_shm = pytest.mark.skipif(
@@ -926,6 +928,40 @@ class TestDurableMulti:
                 assert_counters_equal(
                     resumed.counters(name), ref.detector(name).counters
                 )
+
+    def test_pool_snapshot_is_one_carry_exchange(
+        self, spec, feeds, tmp_path, monkeypatch
+    ):
+        # Each carry holds its stream's counters: a snapshot of a live
+        # pool asks every worker once, and stores what a serial fleet
+        # at the same boundary stores.
+        serial = DurableMultiStreamIngestor(
+            self._serial_fleet(spec, feeds), spec, tmp_path / "serial"
+        )
+        fleet = ParallelMultiStreamDetector.shared(
+            list(feeds), spec.structure, spec.thresholds,
+            aggregate=spec.aggregate, workers=2,
+        )
+        with fleet:
+            dur = DurableMultiStreamIngestor(fleet, spec, tmp_path / "run")
+            for name in sorted(feeds):
+                for d in (serial, dur):
+                    d.push_batch(name, np.arange(200), feeds[name][:200])
+            sent = Counter()
+            send = WorkerPool.send
+
+            def spy(pool, worker, message):
+                sent[message[0]] += 1
+                send(pool, worker, message)
+
+            monkeypatch.setattr(WorkerPool, "send", spy)
+            dur.snapshot_now()
+            assert sent == {"carry": 2}
+        serial.snapshot_now()
+        _, got = load_latest_snapshot(tmp_path / "run")
+        _, want = load_latest_snapshot(tmp_path / "serial")
+        for key in ("carries", "counters"):
+            assert got[key] == want[key]
 
     @needs_dev_shm
     def test_supervised_kill_with_snapshots_pending(
