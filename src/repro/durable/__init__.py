@@ -14,9 +14,10 @@ ingestion pipeline restartable:
 * :mod:`repro.durable.wal` — a segmented, checksummed write-ahead log
   of every ingestion operation; torn tails are detected per entry and
   handled per ``recovery="strict"|"trim"``.
-* :mod:`repro.durable.snapshot` — atomic JSON snapshots of the full
-  resumable state (detector carries, buffered bins, watermarks,
-  ledgers).
+* :mod:`repro.durable.snapshot` — atomic snapshots of the full
+  resumable state (detector carries, sealed series, buffered bins,
+  watermarks, ledgers), encoded once: JSON plus the sealed series as
+  raw float64 bytes, zlib-compressed and checksummed as written.
 * :mod:`repro.durable.ingestor` — one log-before-apply implementation,
   :class:`DurableMultiStreamIngestor` over a named fleet, whose
   :meth:`~DurableMultiStreamIngestor.recover` continues detection

@@ -158,11 +158,13 @@ class StreamIngestor:
 
     # -- durability ----------------------------------------------------
     def state_dict(self) -> dict[str, object]:
-        """JSON-ready snapshot of the ingestor's own resumable state.
+        """Snapshot of the ingestor's own resumable state.
 
         Captures the sealed frontier, the sealed dense series, the
         current burst beliefs, the buffered (unsealed) bins with their
-        record counts, the ledger, and the finished flag.  The *sink's*
+        record counts, the ledger, and the finished flag.  Everything is
+        JSON-ready apart from ``"sealed"``, a float64 array copy that the
+        durable snapshot stores as raw bytes.  The *sink's*
         state is deliberately not included — the durable layer pairs
         this with the detector's :meth:`~repro.core.chunked.ChunkedDetector.carry`
         so the two halves checkpoint at the same seal boundary.
@@ -170,7 +172,7 @@ class StreamIngestor:
         frontier = self.watermark
         return {
             "frontier": frontier,
-            "sealed": self._sealed[:frontier].tolist(),
+            "sealed": self._sealed[:frontier].copy(),
             "bursts": [
                 [int(end), int(size), float(value)]
                 for (end, size), value in sorted(self._bursts.items())
@@ -184,9 +186,9 @@ class StreamIngestor:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Resume from :meth:`state_dict` output (post-JSON safe).
+        """Resume from :meth:`state_dict` output or a snapshot of it.
 
-        Only legal on a fresh ingestor whose sink has already been
+        ``"sealed"`` may be a list (a v1 snapshot) or an array.  Only legal on a fresh ingestor whose sink has already been
         restored to the matching carry — the pair then continues
         byte-identically to a run that never stopped.
         """

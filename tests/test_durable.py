@@ -291,6 +291,70 @@ class TestSnapshots:
             want = want_newer if intact else want_older
             assert loaded_with(raw[:length]) == want, length
 
+    def test_float64_arrays_round_trip_bit_exact(self, tmp_path):
+        sealed = np.array(
+            [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, np.pi,
+             0.1, -2.5e-300, 123456789.123456789]
+        )
+        state = {"n": 1, "streams": {"a": {"sealed": sealed, "x": [0.5]}}}
+        write_snapshot(tmp_path, 3, state)
+        lsn, got = load_latest_snapshot(tmp_path)
+        assert lsn == 3
+        back = got["streams"]["a"].pop("sealed")
+        assert back.dtype == np.float64
+        assert back.tobytes() == sealed.tobytes()
+        assert got == {"n": 1, "streams": {"a": {"x": [0.5]}}}
+
+    def test_state_encoded_once_and_never_on_load(
+        self, tmp_path, monkeypatch
+    ):
+        import zlib
+
+        calls = Counter()
+        for module, name in ((json, "dumps"), (zlib, "compress")):
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        write_snapshot(tmp_path, 7, {"sealed": np.arange(50.0), "x": 1})
+        assert calls == {"dumps": 1, "compress": 1}
+        calls.clear()
+        assert load_latest_snapshot(tmp_path)[0] == 7
+        assert calls == {}
+
+    def test_ingestor_restores_list_or_array_sealed(self, spec, rng):
+        def fresh(carry=None):
+            det = ChunkedDetector(
+                spec.structure, spec.thresholds, spec.aggregate
+            )
+            if carry is not None:
+                det.restore_carry(carry)
+            return det, StreamIngestor(
+                det, spec.thresholds, spec.aggregate, max_lateness=2
+            )
+
+        vals = rng.gamma(4.0, 2.0, 120)
+        det, ing = fresh()
+        ing.push_batch(np.arange(80), vals[:80])
+        state, carry = ing.state_dict(), det.carry()
+        assert isinstance(state["sealed"], np.ndarray)
+        ing.push_batch(np.arange(80, 120), vals[80:])
+        ing.finish()
+        for sealed in (state["sealed"].tolist(), state["sealed"]):
+            _, resumed = fresh(carry)
+            resumed.restore_state({**state, "sealed": sealed})
+            resumed.push_batch(np.arange(80, 120), vals[80:])
+            resumed.finish()
+            assert (
+                resumed.sealed_series().tobytes()
+                == ing.sealed_series().tobytes()
+            )
+            assert tuple(resumed.final_bursts()) == tuple(ing.final_bursts())
+            assert resumed.ledger.as_dict() == ing.ledger.as_dict()
+
     def test_max_lsn_cap_ignores_post_trim_snapshots(self, tmp_path):
         write_snapshot(tmp_path, 5, {"x": 1})
         write_snapshot(tmp_path, 12, {"x": 2})
