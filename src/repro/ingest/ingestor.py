@@ -163,9 +163,9 @@ class StreamIngestor:
         Captures the sealed frontier, the sealed dense series, the
         current burst beliefs, the buffered (unsealed) bins with their
         record counts, the ledger, and the finished flag.  Everything is
-        JSON-ready apart from ``"sealed"``, a float64 array copy that the
-        durable snapshot stores as raw bytes.  The *sink's*
-        state is deliberately not included — the durable layer pairs
+        JSON-ready apart from ``"sealed"``, a float64 array copy that
+        the durable snapshot stores as raw bytes.  The *sink's* state
+        is deliberately not included — the durable layer pairs
         this with the detector's :meth:`~repro.core.chunked.ChunkedDetector.carry`
         so the two halves checkpoint at the same seal boundary.
         """
@@ -188,8 +188,9 @@ class StreamIngestor:
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Resume from :meth:`state_dict` output or a snapshot of it.
 
-        ``"sealed"`` may be a list (a v1 snapshot) or an array.  Only legal on a fresh ingestor whose sink has already been
-        restored to the matching carry — the pair then continues
+        ``"sealed"`` may be a list (a v1 snapshot) or an array.  Only
+        legal on a fresh ingestor whose sink has already been restored
+        to the matching carry — the pair then continues
         byte-identically to a run that never stopped.
         """
         if self.watermark or self._buffer.n_bins or self.ledger.records:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -308,8 +309,6 @@ class TestSnapshots:
     def test_state_encoded_once_and_never_on_load(
         self, tmp_path, monkeypatch
     ):
-        import zlib
-
         calls = Counter()
         for module, name in ((json, "dumps"), (zlib, "compress")):
             real = getattr(module, name)
