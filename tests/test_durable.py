@@ -264,9 +264,9 @@ class TestSnapshots:
         assert load_latest_snapshot(tmp_path) == (5, {"x": 1})
 
     def test_damaged_newest_loads_as_written_or_falls_back(self, tmp_path):
-        # Every one-bit flip and every truncation of the newest file:
-        # recovery gets one of the two written pairs, never a third
-        # value (a damaged LSN must not load as another LSN).
+        # A one-bit flip at every offset, and every truncation, of the
+        # newest file: recovery gets one of the two written pairs, never
+        # a third value (a damaged LSN must not load as another LSN).
         older = (5, {"v": [0.1, -0.0, 2.5e-7], "x": 1})
         newer = (12, {"v": [1.0 / 3.0, -0.0, 7.25], "x": 2})
         write_snapshot(tmp_path, *older)
