@@ -138,6 +138,64 @@ class TestSumWindowEngine:
             for j, t in enumerate(ends):
                 assert grid[i, j] == pytest.approx(engine.value(int(t), int(w)))
 
+    @pytest.mark.parametrize(
+        "chunks, ends",
+        [
+            # Untrimmed: windows clamped at index 0 (ends below size - 1)
+            # mixed with full windows in one call.
+            ((40,), [30, 0, 12, 2, 39, 5, 11, 23]),
+            # Trimmed prefix buffer (offset > 0): full windows only.
+            ((30, 30, 30), [89, 70, 84, 66, 75]),
+        ],
+    )
+    def test_vectorized_queries_equal_scalar_bits(self, rng, chunks, ends):
+        # Full-mantissa data, ends unsorted: both vectorized paths must
+        # perform the scalar path's exact subtraction (==, not approx).
+        engine = SumWindowEngine(history=24)
+        for n in chunks:
+            engine.append(rng.uniform(0, 10, n))
+        ends = np.array(ends)
+        sizes = np.array([1, 3, 7, 13, 24])
+        grid = engine.values_grid(ends, sizes)
+        assert grid.shape == (sizes.size, ends.size)
+        out = np.empty(ends.size)
+        for i, w in enumerate(sizes.tolist()):
+            want = [engine.value(t, w) for t in ends.tolist()]
+            assert engine.values(ends, w).tolist() == want
+            assert engine.values(ends, w, out=out) is out
+            assert out.tolist() == want
+            assert grid[i].tolist() == want
+
+    def test_vectorized_bounds_checks(self):
+        # values() / values_grid() check their whole call's span and fail
+        # as value() does: "history" for a window (clamped or not) that
+        # starts behind the retained prefixes, "beyond" for an end past
+        # the stream.
+        engine = SumWindowEngine(history=4)
+        for _ in range(20):
+            engine.append(np.ones(10))
+        with pytest.raises(IndexError, match="history"):
+            engine.value(150, 5)
+        with pytest.raises(IndexError, match="beyond"):
+            engine.value(200, 1)
+        ends = np.array([199, 150, 195])
+        for bad_ends, sizes, match in (
+            (ends, [5], "history"),
+            (np.array([199, 5]), [10], "history"),
+            (np.array([199, 195]), [1, 40], "history"),
+            (np.array([199, 200]), [1], "beyond"),
+            (np.array([200, 195]), [1, 2], "beyond"),
+        ):
+            with pytest.raises(IndexError, match=match):
+                engine.values_grid(bad_ends, np.array(sizes))
+            if len(sizes) == 1:
+                with pytest.raises(IndexError, match=match):
+                    engine.values(bad_ends, sizes[0])
+                with pytest.raises(IndexError, match=match):
+                    engine.values(
+                        bad_ends, sizes[0], out=np.empty(bad_ends.size)
+                    )
+
     def test_multi_chunk_equals_single_chunk(self, rng):
         # Queries must end within the most recent chunk (engine contract).
         data = rng.uniform(0, 5, 100)
