@@ -226,8 +226,9 @@ class WindowEngine:
 
         Returns an array of shape ``(len(sizes), len(ends))``; entry
         ``[i, j]`` is the (start-clamped) window of ``sizes[i]`` ending at
-        ``ends[j]``.  This is the detailed-search kernel: one call per
-        alarmed node evaluates its whole search region.
+        ``ends[j]``.  This is the detailed-search kernel: one call
+        evaluates the larger sizes of a level's alarmed nodes (tier 1 of
+        the chunked detector's search), or one flushed node's region.
         """
         raise NotImplementedError
 
@@ -393,33 +394,54 @@ class SumWindowEngine(WindowEngine):
             )
         return float(self._p(end + 1) - self._p(start))
 
+    def _check_span(self, lo: int, hi: int, size: int) -> bool:
+        """Bounds-check windows of up to ``size`` ending in ``[lo, hi]``.
+
+        Returns whether one of them starts before index 0, i.e. whether
+        the call must clamp its starts.
+        """
+        if hi >= self._length:
+            raise IndexError("window end beyond stream length")
+        first = lo + 1 - size
+        if max(first, 0) < self._offset:
+            raise IndexError("window reaches behind retained history")
+        return first < 0
+
     def values(
         self, ends: np.ndarray, size: int, out: np.ndarray | None = None
     ) -> np.ndarray:
         ends = np.asarray(ends, dtype=np.int64)
         if ends.size == 0:
             return np.empty(0, dtype=np.float64)
-        if ends.max(initial=-1) >= self._length:
-            raise IndexError("window end beyond stream length")
-        starts = np.maximum(0, ends + 1 - size)
-        if starts.size and starts.min() < self._offset:
-            raise IndexError("window reaches behind retained history")
-        if out is None:
-            return self._p(ends + 1) - self._p(starts)
-        np.subtract(self._p(ends + 1), self._p(starts), out=out)
-        return out
+        clamp = self._check_span(int(ends.min()), int(ends.max()), size)
+        # Local prefix indices of each window's end + 1, then its start.
+        idx = ends + (1 - self._offset)
+        top = self._prefix[idx]
+        idx -= size
+        if clamp:
+            np.maximum(idx, -self._offset, out=idx)
+        return np.subtract(top, self._prefix[idx], out=out)
 
     def values_grid(self, ends: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Aggregates for every (size, end) pair, as :meth:`value` computes
+        them: one prefix gather for the ends, one for the starts.
+
+        Starts are clamped at index 0 only when a window of the call
+        starts before it, which happens in the stream's first
+        ``max(sizes)`` points.
+        """
         ends = np.asarray(ends, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         if ends.size == 0 or sizes.size == 0:
             return np.empty((sizes.size, ends.size), dtype=np.float64)
-        if ends.max() >= self._length:
-            raise IndexError("window end beyond stream length")
-        starts = np.maximum(0, ends[None, :] + 1 - sizes[:, None])
-        if starts.min() < self._offset:
-            raise IndexError("window reaches behind retained history")
-        return self._p(ends + 1)[None, :] - self._p(starts)
+        clamp = self._check_span(
+            int(ends.min()), int(ends.max()), int(sizes.max())
+        )
+        idx = ends + (1 - self._offset)
+        starts = idx[None, :] - sizes[:, None]
+        if clamp:
+            np.maximum(starts, -self._offset, out=starts)
+        return self._prefix[idx][None, :] - self._prefix[starts]
 
 
 class MaxWindowEngine(WindowEngine):

@@ -380,8 +380,8 @@ class ChunkedDetector:
                     )
         return out
 
-    # Alarms per vectorized DSR batch; bounds the grid working set to
-    # roughly BATCH * shift * |sizes| floats.
+    # Alarms per tier-1 grid; bounds the grid working set to roughly
+    # BATCH * shift * |sizes| floats.
     _ALARM_BATCH = 2048
 
     def _search_alarms_batched(
@@ -395,48 +395,119 @@ class ChunkedDetector:
 
         Semantically identical to calling :func:`find_triggered` +
         :func:`search_dsr` per alarm (identical bursts and operation
-        counts — see the equivalence tests), but one set of NumPy calls
-        per level instead of per alarm.
+        counts — see the equivalence tests), with a fixed number of NumPy
+        calls per level.  It evaluates little more than the cells it
+        charges (``shift`` per triggered size per alarm), in two tiers:
+
+        * tier 0 evaluates every alarm's smallest responsible size at its
+          ``shift`` ends, as one query (every cut is at least 1: the
+          alarm's value met ``f(sizes[0])``, the level's trigger);
+        * tier 1, only when some cut exceeds 1, evaluates
+          ``sizes[1:max cut]`` for those alarms only, as one grid per
+          ``_ALARM_BATCH`` alarms.  A hit counts only below its alarm's
+          cut; for a monotone aggregate a cell past the cut cannot meet
+          its threshold, and the filter keeps that exact under rounding
+          and amended prefixes too.
+
+        ``alarm_ends`` ascend, as the kernel's candidate rows do.  Bursts
+        are emitted in (size, end) order.
         """
         counters = self.counters
         s = plan.shift
         level = plan.level
         n_sizes = int(plan.sizes.size)
-        for lo in range(0, alarm_ends.size, self._ALARM_BATCH):
-            ends = alarm_ends[lo : lo + self._ALARM_BATCH]
-            values = alarm_values[lo : lo + self._ALARM_BATCH]
-            a = ends.size
-            if self.refine_filter:
-                # Largest triggered size per alarm (binary search).
-                cuts = np.searchsorted(
-                    plan.thresholds, values, side="right"
-                )
-                counters.filter_comparisons[level] += a * n_sizes.bit_length()
-            else:
-                cuts = np.full(a, n_sizes, dtype=np.int64)
-            max_cut = int(cuts.max())
-            sizes = plan.sizes[:max_cut]
-            fs = plan.thresholds[:max_cut]
-            # Every DSR cell of every alarmed node: (size, alarm, offset).
-            cell_ends = ends[:, None] + np.arange(1 - s, 1, dtype=np.int64)
-            grid = self._engine.values_grid(cell_ends.ravel(), sizes)
-            grid = grid.reshape(max_cut, a, s)
-            valid = cell_ends[None, :, :] >= (sizes[:, None, None] - 1)
-            allowed = np.arange(max_cut)[:, None] < cuts[None, :]
-            mask = valid & allowed[:, :, None]
-            counters.search_cells[level] += int(np.count_nonzero(mask))
-            hits = mask & (grid >= fs[:, None, None])
-            if not hits.any():
+        if self.refine_filter:
+            # Largest triggered size per alarm (binary search).
+            cuts = np.searchsorted(plan.thresholds, alarm_values, side="right")
+            counters.filter_comparisons[level] += (
+                alarm_ends.size * n_sizes.bit_length()
+            )
+        else:
+            cuts = np.full(alarm_ends.size, n_sizes, dtype=np.int64)
+        max_cut = int(cuts.max())
+        # The DSR cell ends of every alarmed node: (alarm, offset).
+        cell_ends = alarm_ends[:, None] + np.arange(1 - s, 1, dtype=np.int64)
+        # Alarms ending below `limit` search a window that starts before
+        # index 0, which happens only in the stream's first max-window
+        # points: they run the masked grid.
+        limit = int(plan.sizes[max_cut - 1]) + s - 2
+        early = 0
+        hits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        if int(alarm_ends[0]) < limit:
+            early = int(np.searchsorted(alarm_ends, limit))
+            hits = self._search_masked(plan, cell_ends[:early], cuts[:early])
+        if early < cuts.size:
+            counters.search_cells[level] += s * int(cuts[early:].sum())
+            hits += self._search_two_tier(
+                plan, cell_ends[early:], cuts[early:], max_cut
+            )
+        if not hits:
+            return
+        # Each part holds (size rank, end)-ordered hits; merge several.
+        ends, rank, values = hits[0]
+        if len(hits) > 1:
+            ends, rank, values = (np.concatenate(h) for h in zip(*hits))
+            order = np.lexsort((ends, rank))
+            ends, rank, values = ends[order], rank[order], values[order]
+        for e, w, v in zip(
+            ends.tolist(), plan.sizes[rank].tolist(), values.tolist()
+        ):
+            out.append(Burst(e, w, v))
+        counters.bursts += ends.size
+
+    def _search_two_tier(
+        self,
+        plan: LevelPlan,
+        cell_ends: np.ndarray,
+        cuts: np.ndarray,
+        max_cut: int,
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Nonempty hit parts ``(ends, size ranks, values)`` of both tiers."""
+        hits = []
+        flat = cell_ends.ravel()
+        values = self._engine.values(flat, int(plan.sizes[0]))
+        (k,) = (values >= plan.thresholds[0]).nonzero()
+        if k.size:
+            hits.append((flat[k], np.zeros(k.size, dtype=np.int64), values[k]))
+        if max_cut == 1:
+            return hits
+        deep = cuts > 1
+        deep_ends = cell_ends.compress(deep, axis=0)
+        deep_cuts = cuts.compress(deep)
+        sizes = plan.sizes[1:max_cut]
+        fs = plan.thresholds[1:max_cut, None]
+        for lo in range(0, deep_cuts.size, self._ALARM_BATCH):
+            ends = deep_ends[lo : lo + self._ALARM_BATCH].ravel()
+            grid = self._engine.values_grid(ends, sizes)
+            (k,) = (grid >= fs).ravel().nonzero()
+            if not k.size:
                 continue
-            for i, k, j in zip(*np.nonzero(hits)):
-                out.append(
-                    Burst(
-                        int(cell_ends[k, j]),
-                        int(sizes[i]),
-                        float(grid[i, k, j]),
-                    )
-                )
-                counters.bursts += 1
+            rank, cell = np.divmod(k, ends.size)
+            rank += 1
+            batch_cuts = deep_cuts[lo : lo + self._ALARM_BATCH]
+            keep = rank < batch_cuts[cell // plan.shift]
+            hits.append(
+                (ends[cell[keep]], rank[keep], grid.ravel()[k[keep]])
+            )
+        return hits
+
+    def _search_masked(
+        self, plan: LevelPlan, cell_ends: np.ndarray, cuts: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Hit parts of the dense grid over ``sizes[:max cut]``, masked to
+        full windows and to each alarm's cut, charging the cells kept."""
+        a, s = cell_ends.shape
+        max_cut = int(cuts.max())
+        sizes = plan.sizes[:max_cut]
+        grid = self._engine.values_grid(cell_ends.ravel(), sizes)
+        grid = grid.reshape(max_cut, a, s)
+        valid = cell_ends[None, :, :] >= (sizes[:, None, None] - 1)
+        allowed = np.arange(max_cut)[:, None] < cuts[None, :]
+        mask = valid & allowed[:, :, None]
+        self.counters.search_cells[plan.level] += int(np.count_nonzero(mask))
+        fs = plan.thresholds[:max_cut, None, None]
+        rank, k, j = np.nonzero(mask & (grid >= fs))
+        return [(cell_ends[k, j], rank, grid[rank, k, j])] if rank.size else []
 
     def finish(self) -> list[Burst]:
         """Flush the stream tail (one final node per level, as needed)."""

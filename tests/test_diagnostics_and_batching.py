@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.aggregates import MAX, SUM
 from repro.core.analysis import diagnose
 from repro.core.chunked import ChunkedDetector
 from repro.core.detector import StreamingDetector
 from repro.core.sbt import shifted_binary_tree
+from repro.core.structure import SATStructure
 from repro.core.thresholds import FixedThresholds, NormalThresholds, all_sizes
 
 
@@ -97,3 +99,75 @@ class TestAlarmBatching:
         got = chk.detect(data)
         assert got.keys() == {(403, 4)}
         assert chk.counters.total_alarms >= 1
+
+
+def _burst_bits(bursts):
+    return sorted((b.end, b.size, b.value.hex()) for b in bursts)
+
+
+class TestTwoTierSearch:
+    """Both levels hold more alarms than one tier-1 grid takes, their
+    cuts spread over every responsible size, and windows meet f(w) with
+    equality at a level's smallest size and past it."""
+
+    STRUCTURE = SATStructure.from_pairs([(4, 1), (8, 2)])
+    # Dyadic data and thresholds: every window aggregate is exact.
+    THRESHOLDS = {
+        "sum": {1: 3.5, 2: 6.0, 3: 7.5, 4: 9.0, 5: 12.5, 6: 15.5, 7: 18.0},
+        "max": {1: 3.75, 2: 2.0, 3: 2.5, 4: 3.0, 5: 3.25, 6: 3.5, 7: 3.75},
+    }
+
+    @staticmethod
+    def _data(n):
+        return 0.25 * np.random.default_rng(7).integers(0, 16, n)
+
+    @pytest.mark.parametrize("agg", [SUM, MAX], ids=["sum", "max"])
+    def test_premise(self, agg):
+        data = self._data(8064)
+        th = FixedThresholds(self.THRESHOLDS[agg.name])
+        ref = StreamingDetector(self.STRUCTURE, th, agg)
+        bursts = ref.detect(data)
+        for plan in ChunkedDetector(self.STRUCTURE, th, agg).plans:
+            ends = np.arange(plan.size - 1, data.size, plan.shift)
+            nodes = agg.sliding(data, plan.size)[ends + 1 - plan.size]
+            alarms = nodes[nodes >= plan.min_threshold]
+            cuts = np.searchsorted(plan.thresholds, alarms, side="right")
+            assert alarms.size > ChunkedDetector._ALARM_BATCH
+            assert set(cuts.tolist()) == set(range(1, plan.sizes.size + 1))
+            exact = {
+                b.size
+                for b in bursts
+                if plan.lo <= b.size <= plan.hi
+                and b.value == th.threshold(b.size)
+            }
+            assert plan.sizes[0] in exact and len(exact) > 1
+
+    @pytest.mark.parametrize("agg", [SUM, MAX], ids=["sum", "max"])
+    @pytest.mark.parametrize("refine", [True, False], ids=["refine", "dense"])
+    # (64, 8000): the big chunk runs both tiers only; (8064,): it starts
+    # at index 0, so its first alarms run the masked grid too.
+    @pytest.mark.parametrize("chunks", [(64, 8000), (8064,)])
+    def test_matches_streaming_detector(self, agg, refine, chunks):
+        data = self._data(sum(chunks))
+        th = FixedThresholds(self.THRESHOLDS[agg.name])
+        ref = StreamingDetector(self.STRUCTURE, th, agg, refine_filter=refine)
+        chk = ChunkedDetector(self.STRUCTURE, th, agg, refine_filter=refine)
+        want, got = [], []
+        lo = 0
+        for n in chunks:
+            before = chk.counters.alarms.copy()
+            want += ref.process(data[lo : lo + n])
+            bursts = chk.process(data[lo : lo + n])
+            # Within a level bursts come in (size, end) order, and levels
+            # come in order of their (disjoint, ascending) size ranges.
+            keys = [(b.size, b.end) for b in bursts]
+            assert keys == sorted(keys)
+            got += bursts
+            lo += n
+        assert np.all(
+            (chk.counters.alarms - before)[1:] > ChunkedDetector._ALARM_BATCH
+        )
+        want += ref.finish()
+        got += chk.finish()
+        assert _burst_bits(got) == _burst_bits(want)
+        assert chk.counters.as_dict() == ref.counters.as_dict()

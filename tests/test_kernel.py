@@ -282,6 +282,28 @@ class TestKernelParity:
         _feed(det, case)
         assert _counter_bytes(det.counters) == _counter_bytes(ref.counters)
 
+    @pytest.mark.parametrize("seed", range(90, 100))
+    def test_candidate_rows_ascend(self, seed):
+        # The batched refinement reads a row's first candidate as its
+        # level's smallest alarm end: every CSR row must ascend, on both
+        # backends.
+        case = _case(seed, min_points=64)
+        for det in (_detector(case, backend="numpy"), _native_detector(case)):
+            rows = 0
+            lo = 0
+            for size in case.chunks + (case.stream.size,):
+                if lo >= case.stream.size:
+                    break
+                det.process(case.stream[lo : lo + size])
+                lo += size
+                scratch = det._scratch
+                offsets = scratch.cand_offsets
+                for r in range(offsets.size - 1):
+                    row = scratch.cand_ends[offsets[r] : offsets[r + 1]]
+                    assert np.all(np.diff(row) > 0)
+                    rows += row.size > 1
+            assert rows > 0
+
     @pytest.mark.skipif(not numba_available(), reason="numba missing")
     @pytest.mark.parametrize("seed", range(80, 90))
     def test_compiled_kernel_matches_numpy_fallback(self, seed):
