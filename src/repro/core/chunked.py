@@ -396,18 +396,18 @@ class ChunkedDetector:
         Semantically identical to calling :func:`find_triggered` +
         :func:`search_dsr` per alarm (identical bursts and operation
         counts — see the equivalence tests), with a fixed number of NumPy
-        calls per level.  It evaluates little more than the cells it
-        charges (``shift`` per triggered size per alarm), in two tiers:
+        calls per level.  Two tiers keep the cells evaluated close to the
+        cells charged (``shift`` per triggered size per alarm):
 
-        * tier 0 evaluates every alarm's smallest responsible size at its
-          ``shift`` ends, as one query (every cut is at least 1: the
-          alarm's value met ``f(sizes[0])``, the level's trigger);
+        * tier 0 evaluates every alarm's smallest responsible size, as
+          one query (every cut is at least 1: the alarm met the level's
+          trigger threshold, ``f(sizes[0])``);
         * tier 1, only when some cut exceeds 1, evaluates
-          ``sizes[1:max cut]`` for those alarms only, as one grid per
-          ``_ALARM_BATCH`` alarms.  A hit counts only below its alarm's
-          cut; for a monotone aggregate a cell past the cut cannot meet
-          its threshold, and the filter keeps that exact under rounding
-          and amended prefixes too.
+          ``sizes[1:max cut]`` for those alarms only, one grid per
+          ``_ALARM_BATCH`` alarms, and keeps a hit only below its alarm's
+          cut.  For a monotone aggregate a cell past the cut cannot meet
+          its threshold; the filter keeps that exact for amended
+          prefixes too.
 
         ``alarm_ends`` ascend, as the kernel's candidate rows do.  Bursts
         are emitted in (size, end) order.
