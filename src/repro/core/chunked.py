@@ -427,9 +427,9 @@ class ChunkedDetector:
         max_cut = int(cuts.max())
         # The DSR cell ends of every alarmed node: (alarm, offset).
         cell_ends = alarm_ends[:, None] + np.arange(1 - s, 1, dtype=np.int64)
-        # Alarms ending below `limit` search a window that starts before
-        # index 0, which happens only in the stream's first max-window
-        # points: they run the masked grid.
+        # Alarms ending below `limit` can search a window that starts
+        # before index 0, which happens only in the stream's first
+        # max-window points: they run the masked grid.
         limit = int(plan.sizes[max_cut - 1]) + s - 2
         early = 0
         hits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -462,7 +462,7 @@ class ChunkedDetector:
         cuts: np.ndarray,
         max_cut: int,
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Nonempty hit parts ``(ends, size ranks, values)`` of both tiers."""
+        """Hit parts ``(ends, size ranks, values)`` of both tiers."""
         hits = []
         flat = cell_ends.ravel()
         values = self._engine.values(flat, int(plan.sizes[0]))
